@@ -295,6 +295,12 @@ def fraction_to_decimal(q: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
+def _write_envelope(command: str, status: str, **body) -> None:
+    """One JSON line on stdout; success and error envelopes share its keys."""
+    envelope = {"status": status, "command": command, **body}
+    sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 class _Emitter:
     def __init__(self, as_json: bool):
         self.as_json = as_json
@@ -305,8 +311,7 @@ class _Emitter:
 
     def finish(self, command: str, payload, status: str = "ok") -> None:
         if self.as_json:
-            envelope = {"status": status, "command": command, "payload": payload}
-            sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+            _write_envelope(command, status, payload=payload)
         else:
             for line in self.human_lines:
                 sys.stdout.write(line + "\n")
@@ -662,6 +667,17 @@ LIBRARY_OPERATIONS = frozenset(
 )
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="nakarep",
@@ -676,7 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="summarize a profile; -t also evaluates K")
     p.add_argument("profile")
     p.add_argument("--at", metavar="T", help="evaluate K, kappa and the left limit at T")
-    p.add_argument("--orbit", type=int, metavar="N", help="with --at: print t, K(t), ..., K^N(t)")
+    p.add_argument("--orbit", type=_count, metavar="N", help="with --at: print t, K(t), ..., K^N(t)")
 
     p = sub.add_parser("seps", help="separation points of a profile")
     p.add_argument("profile")
@@ -713,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="projective resolution of a module")
     p.add_argument("profile")
     p.add_argument("interval")
-    p.add_argument("--cap", type=int, default=None, help="step cap (default NAKAREP_CAP or 512)")
+    p.add_argument("--cap", type=_count, default=None, help="step cap (default NAKAREP_CAP or 512)")
 
     p = sub.add_parser("pushforward", help="transport a profile along a homeomorphism")
     p.add_argument("profile")
@@ -746,7 +762,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-plot", help="CSV samples of t, K(t), kappa(t)")
     p.add_argument("profile")
     p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_count, default=6)
 
     return top
 
@@ -771,9 +787,8 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def _fail(args, kind: str, message: str) -> None:
-    if getattr(args, "json", False):
-        envelope = {"status": "error", "error": {"kind": kind, "message": message}}
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    if args.json:
+        _write_envelope(args.command, "error", error={"kind": kind, "message": message})
     sys.stderr.write(f"nakarep: {kind}: {message}\n")
 
 

@@ -236,29 +236,16 @@ def separation_points(profile: KupischProfile) -> SeparationSet:
     """Interior points where the length vanishes from the left and no earlier
     point reaches them: left_limit(K, c) == c with K not constantly c on a
     left neighbourhood.  Since kappa is positive inside every piece, the only
-    candidates are breakpoints, which keeps the search finite and exact."""
+    candidates are breakpoints, which keeps the search finite and exact:
+    one pass over the pairs of adjacent pieces, O(n) for n pieces."""
     k = profile.successor
-    found = []
+    # (formula left of c, breakpoint c) for each pair of adjacent pieces; on
+    # the circle the last piece, moved down one period, meets the first at 0
+    pairs = [(prev.fn, cur.lo) for prev, cur in zip(k.pieces, k.pieces[1:])]
     if k.periodic:
-        candidates = [Fraction(0)] + k.breakpoints()
-        for c in candidates:
-            left_fn = k.pieces[k._locate(c) - 1].fn if c != 0 else k.pieces[-1].fn
-            shift = -1 if c == 0 else 0
-            if left_fn(c - shift) + shift != c:
-                continue
-            if left_fn.is_constant and left_fn.b + shift == c:
-                continue
-            found.append(c)
-    else:
-        for c in k.breakpoints():
-            idx = k._locate(c)
-            left_fn = k.pieces[idx - 1].fn
-            if left_fn(c) != c:
-                continue
-            if left_fn.is_constant and left_fn.b == c:
-                continue
-            found.append(c)
-    return SeparationSet(tuple(sorted(found)), k.periodic)
+        pairs.insert(0, (k.pieces[-1].fn.shifted(-1), Fraction(0)))
+    found = [c for left_fn, c in pairs if left_fn(c) == c and not left_fn.is_constant]
+    return SeparationSet(tuple(found), k.periodic)
 
 
 def next_separation(profile: KupischProfile, c) -> Bound:

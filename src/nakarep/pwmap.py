@@ -10,12 +10,19 @@ each carrying a fractional-linear formula ``t -> (a*t + b)/(c*t + d)``.
 Periodic maps store one period of pieces on ``[0, 1)`` and extend by
 ``F(t + 1) = F(t) + 1``.  All values are immutable and all operations are
 pure, so concurrent use needs no synchronization.
+
+Costs, counted in rational operations for maps of n (outer) and m (inner)
+pieces, whose own cost grows with the bit height of the coefficients:
+building a map checks its invariants in O(n); ``eval`` bisects the piece
+starts cached at construction, O(log n); ``compose`` solves one preimage
+per cut it makes, O(m log n + k) for k cuts, with k + m bounding the
+output; ``invert`` is O(n), or O(n log n) for periodic maps.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -141,10 +148,10 @@ class FracLinear:
         return FracLinear(self.d, -self.b, -self.c, self.a)
 
     def shifted(self, n: int) -> "FracLinear":
-        """The conjugate ``t -> self(t - n) + n`` by the integer translation."""
-        t_fwd = FracLinear.affine(1, n)
-        t_back = FracLinear.affine(1, -n)
-        return t_fwd.compose(self.compose(t_back))
+        """The conjugate ``t -> self(t - n) + n`` by the integer translation,
+        in closed form; the determinant is unchanged."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return FracLinear(a + n * c, b - n * a + n * d - n * n * c, c, d - n * c)
 
     def preimage(self, w: Fraction) -> Optional[Fraction]:
         """Solve ``self(t) == w`` exactly; None when w is the unattained limit."""
@@ -260,6 +267,8 @@ class PiecewiseMap:
             if last.fn(Fraction(1)) > first.fn(Fraction(0)) + 1:
                 raise ValueError("map decreases across the period wrap")
         object.__setattr__(self, "pieces", pieces)
+        # piece starts for bisection; not a field, so == and hash ignore it
+        object.__setattr__(self, "_starts", [p.lo for p in pieces])
 
     def _check_piece(self, p: Piece) -> None:
         pole = p.fn.pole
@@ -288,17 +297,15 @@ class PiecewiseMap:
 
     # ----- lookup -------------------------------------------------------
 
-    def _los(self):
-        return [p.lo for p in self.pieces]
-
     def _locate(self, t: Fraction) -> int:
-        idx = bisect_right(self._los(), t) - 1
+        idx = bisect_right(self._starts, t) - 1
         if idx < 0 or not (self.pieces[idx].lo <= t < self.pieces[idx].hi):
             raise DomainError(f"{fmt_rational(t)} is not covered by any piece")
         return idx
 
     def eval(self, t) -> Fraction:
-        """Exact value at t; periodic maps unfold by F(t + n) = F(t) + n."""
+        """Exact value at t; periodic maps unfold by F(t + n) = F(t) + n.
+        Costs O(log n) for n pieces: one bisection and one formula."""
         t = as_rational(t)
         if self.periodic:
             n = math.floor(t)
@@ -390,10 +397,6 @@ class PiecewiseMap:
             return False
         return True
 
-    def breakpoints(self):
-        """Interior breakpoints (piece starts except the domain's left end)."""
-        return [p.lo for p in self.pieces[1:]]
-
     def _unfold(self, n_lo: int, n_hi: int):
         """Pieces of the periodic extension covering [n_lo, n_hi)."""
         out = []
@@ -412,6 +415,11 @@ def compose(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
     Breakpoints of the result are g's breakpoints together with the
     g-preimages of f's breakpoints.  Both maps must be periodic or both
     flat; the image of g must stay inside f's domain.
+
+    Cost for f of n and g of m pieces: each increasing piece of g finds the
+    breakpoints of f inside its image by bisection and solves one preimage
+    for each, so O(m log n + k) for k cuts, plus O(k + m) to build the
+    result.  A periodic f is first unfolded over two periods, O(n).
     """
     if f.periodic != g.periodic:
         raise DomainError("cannot compose a periodic with a non-periodic map")
@@ -429,41 +437,34 @@ def compose(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
 def _compose_flat(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
     if not g._range_within(f.dom):
         raise DomainError("image of the inner map leaves the outer map's domain")
+    starts = f._starts
     out = []
-    bps = f.breakpoints()
     for piece in g.pieces:
-        if piece.fn.is_constant:
-            out.append(Piece(piece.lo, piece.hi, FracLinear.const(f.eval(piece.fn.b))))
+        gp = piece.fn
+        if gp.is_constant:
+            out.append(Piece(piece.lo, piece.hi, FracLinear.const(f.eval(gp.b))))
             continue
-        cuts = [piece.lo]
-        for w in bps:
-            t = piece.fn.preimage(w)
-            if t is not None and piece.lo < t < piece.hi:
-                cuts.append(t)
-        cuts = sorted(set(cuts)) + [piece.hi]
-        for s0, s1 in zip(cuts, cuts[1:]):
-            out.append(Piece(s0, s1, _outer_formula(f, piece.fn, s0, s1).compose(piece.fn)))
+        # gp maps the piece onto its open image window, so only the outer
+        # breakpoints strictly inside it cut the piece, and the cuts come in
+        # order; the sub-interval ending at starts[j] lies under f's piece j - 1
+        first = bisect_right(starts, _image_left(piece), 1)
+        last = bisect_left(starts, _image_right(piece), first)
+        s0 = piece.lo
+        for j in range(first, last):
+            s1 = gp.preimage(starts[j])
+            out.append(Piece(s0, s1, f.pieces[j - 1].fn.compose(gp)))
+            s0 = s1
+        out.append(Piece(s0, piece.hi, f.pieces[last - 1].fn.compose(gp)))
     return PiecewiseMap(g.dom, tuple(out))
 
 
-def _outer_formula(f: PiecewiseMap, gp: FracLinear, s0: Bound, s1: Bound) -> FracLinear:
-    """The single formula of f covering gp((s0, s1)); the cut points ensure
-    the image meets no interior breakpoint of f."""
-    if is_finite(s0) and gp.pole != s0:
-        v = gp(s0)
-    elif is_finite(s0) and is_finite(s1):
-        v = gp((s0 + s1) / 2)
-    elif is_finite(s1):
-        v = gp(s1 - 1)
-    elif is_finite(s0):
-        v = gp(s0 + 1)
-    else:
-        v = gp(Fraction(0))
-    return f.pieces[f._locate(v)].fn
-
-
 def invert(f: PiecewiseMap) -> PiecewiseMap:
-    """Exact inverse of a strictly increasing continuous surjection."""
+    """Exact inverse of a strictly increasing continuous surjection.
+
+    Costs O(n) for n pieces: one inverse formula per piece.  A periodic
+    inverse is cut back onto [0, 1), which splits at most one piece, and
+    sorted, so O(n log n).
+    """
     for p in f.pieces:
         if p.fn.is_constant:
             raise NotBijective(f"constant piece {p} has no inverse")
@@ -477,14 +478,12 @@ def invert(f: PiecewiseMap) -> PiecewiseMap:
     lo, lo_att, hi, _hi_att = f.range_info()
     raw = []
     for p in f.pieces:
-        v0 = _image_left(f, p)
-        v1 = _image_right(f, p)
-        raw.append(Piece(v0, v1, p.fn.inverse()))
+        raw.append(Piece(_image_left(p), _image_right(p), p.fn.inverse()))
     dom = Dom(lo, hi, lo_closed=bool(lo_att))
     return PiecewiseMap(dom, tuple(raw))
 
 
-def _image_left(f: PiecewiseMap, p: Piece) -> Bound:
+def _image_left(p: Piece) -> Bound:
     if not is_finite(p.lo):
         return NEG_INF if p.fn.is_affine else p.fn.a
     if p.fn.pole == p.lo:
@@ -492,7 +491,7 @@ def _image_left(f: PiecewiseMap, p: Piece) -> Bound:
     return p.fn(p.lo)
 
 
-def _image_right(f: PiecewiseMap, p: Piece) -> Bound:
+def _image_right(p: Piece) -> Bound:
     if not is_finite(p.hi):
         return POS_INF if p.fn.is_affine else p.fn.a
     if p.fn.pole == p.hi:

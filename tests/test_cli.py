@@ -281,6 +281,21 @@ class TestErrors:
         code, _, err = invoke(capsys, "validate", "/nonexistent/profile.txt")
         assert code == 2
 
+    def test_negative_orbit_rejected(self, files, capsys):
+        code, out, err = invoke(capsys, "info", files["kappa2"], "--at", "1/4", "--orbit", "-3")
+        assert (code, out) == (2, "")
+        assert "non-negative integer" in err
+
+    def test_negative_digits_rejected(self, files, capsys):
+        code, out, err = invoke(capsys, "export-plot", files["kappa2"], "--digits", "-2")
+        assert (code, out) == (2, "")
+        assert "non-negative integer" in err
+
+    def test_negative_cap_rejected(self, files, capsys):
+        code, out, err = invoke(capsys, "resolve", files["kappa2"], "[0,1/8]", "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert "non-negative integer" in err
+
 
 class TestMachineOutput:
     def test_json_envelope(self, files, capsys):
@@ -302,7 +317,15 @@ class TestMachineOutput:
         assert code == 3
         env = json.loads(out)
         assert env["status"] == "error"
+        assert env["command"] == "morphism"
         assert env["error"]["kind"] == "InvalidMorphism"
+
+    def test_json_parse_error_envelope_names_command(self, files, capsys):
+        code, out, _ = invoke(capsys, "--json", "hom", "circle", "[0,x]", "[0,1]")
+        assert code == 2
+        env = json.loads(out)
+        assert (env["status"], env["command"]) == ("error", "hom")
+        assert env["error"]["kind"] == "parse error"
 
 
 class TestDispatchCoverage:

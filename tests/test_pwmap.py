@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nakarep import (
     Dom,
@@ -16,6 +17,7 @@ from nakarep import (
     equals,
     invert,
 )
+from nakarep.pwmap import is_finite
 from oracles import rand_homeo_circle, rand_homeo_full_line, rand_homeo_half_line
 
 REALS = Dom(NEG_INF, POS_INF, False)
@@ -264,3 +266,213 @@ class TestProperties:
             again = PiecewiseMap(f.dom, f.pieces, f.periodic)
             assert equals(f, again)
             assert equals(again, PiecewiseMap(again.dom, again.pieces, again.periodic))
+
+
+# ----- random maps for the property tests ---------------------------------------
+#
+# Breakpoints and node values are drawn from small grids of quarters and
+# eighths, so that the image end of an inner piece often lands exactly on a
+# breakpoint of the outer map.
+
+BENDS = (F(1), F(1, 3), F(1, 2), F(2), F(3))  # 1 gives an affine piece
+QUARTERS = st.integers(-12, 12).map(lambda k: F(k, 4))
+STEPS = st.integers(1, 6).map(lambda k: F(k, 4))
+
+
+def bend_piece(x0, x1, y0, y1, bend) -> FracLinear:
+    """Increasing map of [x0, x1] onto [y0, y1]; its pole lies outside."""
+    into = FracLinear.affine(1 / (x1 - x0), -x0 / (x1 - x0))
+    back = FracLinear.affine(y1 - y0, y0)
+    return back.compose(FracLinear(1, 0, 1 - bend, bend).compose(into))
+
+
+def left_tail(u, y, gap) -> FracLinear:
+    """On (-inf, u]: affine ending at y (gap None), or rising from the
+    horizontal asymptote y - gap at -inf."""
+    if gap is None:
+        return FracLinear.affine(1, y - u)
+    a = y - gap
+    return FracLinear(-a, a * u + y, -1, 1 + u)
+
+
+def right_tail(u, y, gap) -> FracLinear:
+    """On [u, +inf): affine from y (gap None), or rising to y + gap."""
+    if gap is None:
+        return FracLinear.affine(1, y - u)
+    b = y + gap
+    return FracLinear(b, y - b * u, 1, 1 - u)
+
+
+def pole_left(lo, u, y) -> FracLinear:
+    """On (lo, u]: from -inf at the pole lo up to y."""
+    return FracLinear(y + 1, lo - u - (y + 1) * lo, 1, -lo)
+
+
+def pole_right(u, hi, y) -> FracLinear:
+    """On [u, hi): from y up to +inf at the pole hi."""
+    return FracLinear(1 - y, (y - 1) * hi + hi - u, -1, hi)
+
+
+DOMAINS = {
+    "reals": Dom(NEG_INF, POS_INF, False),
+    "half": Dom(F(-1), POS_INF, True),
+    "bounded": Dom(F(-1), F(2), True),
+    "poles": Dom(F(-1), F(2), False),  # poles at both open ends
+}
+
+
+@st.composite
+def line_maps(draw, kind, homeo=False):
+    """A non-decreasing map on DOMAINS[kind], strictly increasing and
+    continuous when homeo, with Moebius, affine and (unless homeo) constant
+    pieces and upward jumps."""
+    dom = DOMAINS[kind]
+    grid = [u for u in (F(k, 4) for k in range(-12, 13)) if dom.lo < u < dom.hi]
+    cuts = sorted(draw(st.sets(st.sampled_from(grid), min_size=1, max_size=5)))
+    y = draw(QUARTERS)
+    pieces = []
+    ends = [dom.lo] + cuts + [dom.hi]
+    for i, (u0, u1) in enumerate(zip(ends, ends[1:])):
+        if i > 0 and not homeo:
+            y += draw(st.sampled_from((F(0), F(0), F(1, 4), F(1, 2))))
+        if not is_finite(u0):
+            fn = left_tail(u1, y, draw(st.sampled_from((None, F(1, 2), F(2)))))
+        elif i == 0 and kind == "poles":
+            fn = pole_left(u0, u1, y)
+        elif not is_finite(u1):
+            fn = right_tail(u0, y, draw(st.sampled_from((None, F(1, 2), F(2)))))
+        elif i == len(ends) - 2 and kind == "poles":
+            fn = pole_right(u0, u1, y)
+        else:
+            rise = draw(STEPS) if homeo else draw(st.sampled_from((F(0), F(1, 4), F(1))))
+            fn = bend_piece(u0, u1, y, y + rise, draw(st.sampled_from(BENDS)))
+            y += rise
+        pieces.append(Piece(u0, u1, fn))
+    return PiecewiseMap(dom, tuple(pieces))
+
+
+@st.composite
+def circle_maps(draw, homeo=False):
+    """A degree-one periodic map, a lift of a circle homeomorphism when
+    homeo; otherwise constant pieces and upward jumps (the wrap included)
+    may occur."""
+    cuts = sorted(draw(st.sets(st.integers(1, 7).map(lambda k: F(k, 8)), max_size=5)))
+    ends = [F(0)] + cuts + [F(1)]
+    n = len(ends) - 1
+    lows = 1 if homeo else 0
+    rises = draw(st.lists(st.integers(lows, 3), min_size=n, max_size=n))
+    jumps = [0] * n if homeo else draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    total = sum(rises) + sum(jumps) or 1  # an all-constant map jumps by 1 at the wrap
+    y = draw(QUARTERS)
+    pieces = []
+    for u0, u1, rise, jump in zip(ends, ends[1:], rises, jumps):
+        pieces.append(Piece(u0, u1, bend_piece(u0, u1, y, y + F(rise, total), draw(st.sampled_from(BENDS)))))
+        y += F(rise + jump, total)
+    return PiecewiseMap(UNIT, tuple(pieces), periodic=True)
+
+
+def sample_points(f: PiecewiseMap):
+    """Points of f's domain: an eighths grid and f's own breakpoints."""
+    breakpoints = [p.lo for p in f.pieces[1:]]
+    if f.periodic:
+        return [F(k, 8) for k in range(-12, 21)] + [u + 1 for u in breakpoints]
+    grid = [F(k, 8) for k in range(-40, 41)] + breakpoints
+    return [t for t in grid if f.dom.contains(t)]
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class TestComposeProperties:
+    @PROPERTY
+    @given(st.data(), st.sampled_from(sorted(DOMAINS)))
+    def test_compose_agrees_with_eval_line(self, data, kind):
+        f = data.draw(line_maps("reals"))
+        g = data.draw(line_maps(kind))
+        comp = compose(f, g)
+        for t in sample_points(g):
+            assert comp.eval(t) == f.eval(g.eval(t))
+
+    @PROPERTY
+    @given(st.data(), st.sampled_from(sorted(DOMAINS)))
+    def test_compose_into_outer_domain(self, data, kind):
+        # the inner map is an inverse, so its image is exactly f's domain:
+        # open ends at poles, asymptotic tails, attained closed left end
+        f = data.draw(line_maps(kind))
+        g = invert(data.draw(line_maps(kind, homeo=True)))
+        comp = compose(f, g)
+        for t in sample_points(g):
+            assert comp.eval(t) == f.eval(g.eval(t))
+
+    @PROPERTY
+    @given(circle_maps(), circle_maps())
+    def test_compose_agrees_with_eval_circle(self, f, g):
+        comp = compose(f, g)
+        for t in sample_points(g):
+            assert comp.eval(t) == f.eval(g.eval(t))
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(DOMAINS)).flatmap(lambda kind: line_maps(kind, homeo=True)))
+    def test_invert_line(self, f):
+        fi = invert(f)
+        for t in sample_points(f):
+            assert fi.eval(f.eval(t)) == t
+
+    @PROPERTY
+    @given(circle_maps(homeo=True))
+    def test_invert_circle(self, f):
+        fi = invert(f)
+        for t in sample_points(f):
+            assert fi.eval(f.eval(t)) == t
+
+    def test_image_ends_on_outer_breakpoints(self):
+        # every inner piece maps onto [k, k + 1), so its image ends are f's
+        # breakpoints, and no piece is cut inside
+        g = PiecewiseMap(
+            REALS,
+            (
+                Piece(NEG_INF, F(0), FracLinear.affine(1, 0)),
+                Piece(F(0), F(1, 2), FracLinear(2, 0, -1, 2)),  # 0 -> 0, 1/2 -> 1/1
+                Piece(F(1, 2), POS_INF, FracLinear.affine(2, 0)),
+            ),
+        )
+        f = PiecewiseMap(
+            REALS,
+            (
+                Piece(NEG_INF, F(0), FracLinear.affine(1, 0)),
+                Piece(F(0), F(1), FracLinear.affine(2, 1)),
+                Piece(F(1), F(2), FracLinear.affine(3, 2)),
+                Piece(F(2), POS_INF, FracLinear.affine(4, 0)),
+            ),
+        )
+        comp = compose(f, g)
+        assert [p.lo for p in comp.pieces] == [NEG_INF, F(0), F(1, 2), F(1)]
+        for t in (F(-1), F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(5)):
+            assert comp.eval(t) == f.eval(g.eval(t))
+
+
+class TestComposeCost:
+    def test_preimage_solves_are_linear(self, monkeypatch):
+        # two 64-piece homeomorphisms of the line; the outer breakpoints
+        # interleave with the images of the inner ones
+        def homeo(n, offset):
+            cuts = [F(4 * i + offset, 4) for i in range(n - 1)]
+            y, pieces = F(0), [Piece(NEG_INF, cuts[0], FracLinear.affine(1, -cuts[0]))]
+            for i, (u0, u1) in enumerate(zip(cuts, cuts[1:])):
+                fn = bend_piece(u0, u1, y, y + 1, BENDS[i % len(BENDS)])
+                pieces.append(Piece(u0, u1, fn))
+                y = fn(u1)
+            pieces.append(Piece(cuts[-1], POS_INF, FracLinear.affine(1, y - cuts[-1])))
+            return PiecewiseMap(REALS, tuple(pieces))
+
+        f, g = homeo(64, 1), homeo(64, 2)
+        calls = []
+        solve = FracLinear.preimage
+
+        def counted(self, w):
+            calls.append(w)
+            return solve(self, w)
+
+        monkeypatch.setattr(FracLinear, "preimage", counted)
+        comp = compose(f, g)
+        assert len(calls) <= len(comp.pieces) + len(g.pieces)
