@@ -28,9 +28,7 @@ from .pwmap import (
     FracLinear,
     Piece,
     PiecewiseMap,
-    Rational,
     compose,
-    equals,
     invert,
 )
 from .interval import (
@@ -38,7 +36,6 @@ from .interval import (
     OPEN,
     EndpointKind,
     Interval,
-    StringLift,
     canonical_lift,
     contains,
     interval,
@@ -70,7 +67,6 @@ from .repcat import (
     ExceededCap,
     Finite,
     InfinitePeriodic,
-    ModuleExpr,
     MorphismAnalysis,
     ResolutionReport,
     ScalarMorphism,

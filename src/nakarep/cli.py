@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .errors import NakarepError, ParseError
-from .interval import CLOSED, OPEN, Interval, canonical_lift
+from .errors import DomainError, NakarepError, ParseError
+from .interval import CLOSED, OPEN, Interval
 from .kupisch import (
     CIRCLE,
     Circle,
@@ -90,9 +89,25 @@ EXIT_MATH = 3
 # ----- literals -------------------------------------------------------------
 
 
+_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+# digits per integer: CPython's default int/str conversion limit, enforced
+# here so that it holds on every supported version
+_MAX_DIGITS = 4300
+
+
 def parse_rational(text: str) -> Fraction:
+    """An integer or ``p/q`` literal.  The grammar and the digit bound are
+    checked before any arithmetic, so decimals and exponents (``1e400``)
+    are parse errors rather than huge integers."""
+    t = text.strip()
+    m = _RATIONAL_RE.fullmatch(t)
+    if not m:
+        raise ParseError(f"bad rational {text!r}: Invalid literal for Fraction: {t!r}")
+    sign, num, den = m.groups()
+    if len(num) > _MAX_DIGITS or len(den or "") > _MAX_DIGITS:
+        raise ParseError(f"bad rational {text!r}: more than {_MAX_DIGITS} digits")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(sign + num), int(den or 1))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {text!r}: {e}") from e
 
@@ -121,12 +136,6 @@ def parse_interval(text: str) -> Interval:
         )
     except ValueError as e:
         raise ParseError(f"bad interval {text!r}: {e}") from e
-
-
-def format_interval(u: Interval) -> str:
-    left = "[" if u.lo_kind is CLOSED else "("
-    right = "]" if u.hi_kind is CLOSED else ")"
-    return f"{left}{fmt_rational(u.lo)}, {fmt_rational(u.hi)}{right}"
 
 
 def parse_dom(text: str) -> Dom:
@@ -164,7 +173,7 @@ def parse_discrete_module(text: str) -> DiscreteModule:
 # ----- profile and homeomorphism files ---------------------------------------
 
 
-def _content_lines(text: str, filename: str):
+def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -194,7 +203,7 @@ def _parse_piece_line(line: str, filename: str, lineno: int) -> Piece:
 
 
 def parse_profile_text(text: str, filename: str = "<profile>") -> KupischProfile:
-    lines = list(_content_lines(text, filename))
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError(f"{filename}: empty profile")
     lineno, header = lines[0]
@@ -214,7 +223,7 @@ def parse_profile_text(text: str, filename: str = "<profile>") -> KupischProfile
 
 
 def parse_homeo_text(text: str, filename: str = "<homeo>") -> PiecewiseMap:
-    lines = list(_content_lines(text, filename))
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError(f"{filename}: empty homeomorphism")
     lineno, header = lines[0]
@@ -302,27 +311,25 @@ def _write_envelope(command: str, status: str, **body) -> None:
 
 
 class _Emitter:
-    def __init__(self, as_json: bool):
+    def __init__(self, command: str, as_json: bool):
+        self.command = command
         self.as_json = as_json
         self.human_lines: List[str] = []
 
-    def human(self, line: str) -> None:
-        self.human_lines.append(line)
+    def human(self, text: str) -> None:
+        """Queue human output: one line, or a block of lines."""
+        self.human_lines.append(text.rstrip("\n"))
 
-    def finish(self, command: str, payload, status: str = "ok") -> None:
+    def finish(self, payload, status: str = "ok") -> None:
         if self.as_json:
-            _write_envelope(command, status, payload=payload)
+            _write_envelope(self.command, status, payload=payload)
         else:
             for line in self.human_lines:
                 sys.stdout.write(line + "\n")
 
 
 def _opt_interval(u: Optional[Interval]) -> Optional[str]:
-    return None if u is None else format_interval(u)
-
-
-def _bound_str(b: Bound) -> str:
-    return fmt_bound(b)
+    return None if u is None else str(u)
 
 
 # ----- command handlers -------------------------------------------------------
@@ -334,7 +341,7 @@ def _cmd_validate(args, out: _Emitter) -> int:
     for v in violations:
         out.human(v)
     out.human("valid" if not violations else "invalid")
-    out.finish("validate", {"valid": not violations, "violations": violations})
+    out.finish({"valid": not violations, "violations": violations})
     return EXIT_OK if not violations else EXIT_INVALID
 
 
@@ -356,7 +363,7 @@ def _cmd_info(args, out: _Emitter) -> int:
         payload["at"] = fmt_rational(t)
         payload["K"] = fmt_rational(k.eval(t))
         payload["kappa"] = fmt_rational(kappa_at(profile, t))
-        payload["K_left_limit"] = _bound_str(k.left_limit(t)) if _has_left(k, t) else None
+        payload["K_left_limit"] = fmt_bound(k.left_limit(t)) if _has_left(k, t) else None
         out.human(f"K({payload['at']}) = {payload['K']}, kappa = {payload['kappa']}")
         if payload["K_left_limit"] is not None:
             out.human(f"left limit of K: {payload['K_left_limit']}")
@@ -364,7 +371,7 @@ def _cmd_info(args, out: _Emitter) -> int:
             pts = orbit(profile, t, args.orbit)
             payload["orbit"] = [fmt_rational(p) for p in pts]
             out.human("orbit: " + ", ".join(payload["orbit"]))
-    out.finish("info", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -382,9 +389,9 @@ def _cmd_seps(args, out: _Emitter) -> int:
     out.human(", ".join(payload["points"]) if payload["points"] else "(none)")
     if args.after is not None:
         nxt = next_separation(profile, parse_rational(args.after))
-        payload["next_after"] = _bound_str(nxt)
+        payload["next_after"] = fmt_bound(nxt)
         out.human(f"next after {args.after}: {payload['next_after']}")
-    out.finish("seps", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -396,8 +403,8 @@ def _cmd_components(args, out: _Emitter) -> int:
         "components": [
             {
                 "index": c.index,
-                "left": _bound_str(c.left),
-                "right": _bound_str(c.right),
+                "left": fmt_bound(c.left),
+                "right": fmt_bound(c.right),
                 "shape": c.shape.value,
                 "periodic": c.periodic,
             }
@@ -406,12 +413,12 @@ def _cmd_components(args, out: _Emitter) -> int:
     }
     for c in comps:
         tag = " (repeats by Z)" if c.periodic else ""
-        out.human(f"{c.index}: [{_bound_str(c.left)}, {_bound_str(c.right)}) {c.shape.value}{tag}")
+        out.human(f"{c.index}: [{fmt_bound(c.left)}, {fmt_bound(c.right)}) {c.shape.value}{tag}")
     if args.of is not None:
         idx = component_of(profile, parse_interval(args.of))
         payload["component_of"] = idx
         out.human(f"component of {args.of}: {idx}")
-    out.finish("components", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -427,21 +434,21 @@ def _cmd_hom(args, out: _Emitter) -> int:
     space = _space_arg(args.space)
     dim = hom_dim(space, parse_interval(args.source), parse_interval(args.target))
     out.human(str(dim))
-    out.finish("hom", {"dim": dim})
+    out.finish({"dim": dim})
     return EXIT_OK
 
 
 def _cmd_end(args, out: _Emitter) -> int:
     dim = end_dim(_space_arg(args.space), parse_interval(args.interval))
     out.human(str(dim))
-    out.finish("end", {"dim": dim})
+    out.finish({"dim": dim})
     return EXIT_OK
 
 
 def _cmd_brick(args, out: _Emitter) -> int:
     res = is_brick(_space_arg(args.space), parse_interval(args.interval))
     out.human(str(res).lower())
-    out.finish("brick", {"brick": res})
+    out.finish({"brick": res})
     return EXIT_OK
 
 
@@ -454,7 +461,7 @@ def _cmd_compat(args, out: _Emitter) -> int:
     if args.projective:
         payload["projective"] = is_projective(profile, u)
         out.human(f"projective: {str(payload['projective']).lower()}")
-    out.finish("compat", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -474,7 +481,7 @@ def _cmd_morphism(args, out: _Emitter) -> int:
     out.human(f"image:    {payload['image']}")
     out.human(f"kernel:   {payload['kernel']}")
     out.human(f"cokernel: {payload['cokernel']}")
-    out.finish("morphism", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -485,14 +492,14 @@ def _cmd_resolve(args, out: _Emitter) -> int:
     report = projective_resolution(profile, u, cap=cap)
     payload = {
         "verdict": str(report.verdict),
-        "covers": [format_interval(c) for c in report.covers],
-        "syzygies": [format_interval(s) for s in report.syzygies],
+        "covers": [str(c) for c in report.covers],
+        "syzygies": [str(s) for s in report.syzygies],
     }
     out.human(str(report.verdict))
     out.human("covers:   " + ", ".join(payload["covers"]))
     if payload["syzygies"]:
         out.human("syzygies: " + ", ".join(payload["syzygies"]))
-    out.finish("resolve", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -501,13 +508,12 @@ def _cmd_pushforward(args, out: _Emitter) -> int:
     f = load_homeo(args.homeo)
     pushed = push_forward(profile, f)
     payload = {"profile": format_profile(pushed)}
-    for line in payload["profile"].rstrip("\n").split("\n"):
-        out.human(line)
+    out.human(payload["profile"])
     if args.module is not None:
         moved = map_module(f, parse_interval(args.module))
-        payload["module"] = format_interval(moved)
+        payload["module"] = str(moved)
         out.human(f"module image: {payload['module']}")
-    out.finish("pushforward", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -517,7 +523,7 @@ def _cmd_conjugate(args, out: _Emitter) -> int:
     target = load_profile(args.target)
     res = verify_conjugacy(f, source, target)
     out.human(str(res).lower())
-    out.finish("conjugate", {"conjugate": res})
+    out.finish({"conjugate": res})
     return EXIT_OK
 
 
@@ -528,11 +534,9 @@ def _cmd_normalize(args, out: _Emitter) -> int:
         "profile": format_profile(normalized),
         "witness": format_homeo(witness),
     }
-    for line in payload["profile"].rstrip("\n").split("\n"):
-        out.human(line)
-    for line in payload["witness"].rstrip("\n").split("\n"):
-        out.human(line)
-    out.finish("normalize", payload)
+    out.human(payload["profile"])
+    out.human(payload["witness"])
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -543,13 +547,12 @@ def _cmd_series_profile(args, out: _Emitter) -> int:
         payload = {"valid": False, "violations": violations}
         for v in violations:
             out.human(v)
-        out.finish("series-profile", payload, status="error")
+        out.finish(payload, status="error")
         return EXIT_INVALID
     profile = associated_kupisch(series)
     payload = {"valid": True, "profile": format_profile(profile)}
-    for line in payload["profile"].rstrip("\n").split("\n"):
-        out.human(line)
-    out.finish("series-profile", payload)
+    out.human(payload["profile"])
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -557,7 +560,7 @@ def _cmd_embed(args, out: _Emitter) -> int:
     series = parse_series(args.series)
     m = parse_discrete_module(args.module)
     u = embed_module(series, m)
-    payload = {"interval": format_interval(u)}
+    payload = {"interval": str(u)}
     out.human(payload["interval"])
     if args.hom_to is not None:
         m2 = parse_discrete_module(args.hom_to)
@@ -566,7 +569,7 @@ def _cmd_embed(args, out: _Emitter) -> int:
         payload["continuous_hom"] = hom_dim(CIRCLE, u, v)
         out.human(f"discrete hom:   {payload['discrete_hom']}")
         out.human(f"continuous hom: {payload['continuous_hom']}")
-    out.finish("embed", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -575,7 +578,7 @@ def _cmd_extract(args, out: _Emitter) -> int:
     m = extract_module(series, parse_interval(args.interval))
     payload = {"top": m.top, "length": m.length}
     out.human(f"{m.top},{m.length}")
-    out.finish("extract", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
@@ -584,57 +587,41 @@ def _cmd_algdim(args, out: _Emitter) -> int:
     dim = algebra_dim_check(series)
     payload = {"dim": dim, "sum_of_lengths": sum(series.lengths)}
     out.human(str(dim))
-    out.finish("algdim", payload)
+    out.finish(payload)
     return EXIT_OK
 
 
-def _plot_sample_points(profile: KupischProfile, samples: int) -> List[Fraction]:
-    from .errors import DomainError
-
+def export_plot(profile: KupischProfile, samples: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """Exact (t, K(t), kappa(t)) at equally spaced rational sample points
+    (one period on the circle)."""
     if samples < 2:
         raise DomainError("need at least 2 samples")
     k = profile.successor
     if k.periodic:
-        return [Fraction(i, samples) for i in range(samples)]
-    dom = k.dom
-    if not (is_finite(dom.lo) and is_finite(dom.hi)):
-        raise DomainError("plot export needs a bounded domain (or a circle profile)")
-    width = dom.hi - dom.lo
-    if dom.lo_closed:
-        return [dom.lo + Fraction(i, samples) * width for i in range(samples)]
-    return [dom.lo + Fraction(i + 1, samples + 1) * width for i in range(samples)]
-
-
-def export_plot(profile: KupischProfile, samples: int, digits: int = 6) -> List[str]:
-    """CSV rows t,K(t),kappa(t) at equally spaced rational sample points
-    (one period on the circle).  Values are displayed as decimals; the
-    computation itself stays exact."""
-    rows = ["t,K,kappa"]
-    for t in _plot_sample_points(profile, samples):
-        kt = profile.successor.eval(t)
-        rows.append(",".join(fraction_to_decimal(v, digits) for v in (t, kt, kt - t)))
-    return rows
+        ts = [Fraction(i, samples) for i in range(samples)]
+    else:
+        dom = k.dom
+        if not (is_finite(dom.lo) and is_finite(dom.hi)):
+            raise DomainError("plot export needs a bounded domain (or a circle profile)")
+        width = dom.hi - dom.lo
+        if dom.lo_closed:
+            ts = [dom.lo + Fraction(i, samples) * width for i in range(samples)]
+        else:
+            ts = [dom.lo + Fraction(i + 1, samples + 1) * width for i in range(samples)]
+    out = []
+    for t in ts:
+        kt = k.eval(t)
+        out.append((t, kt, kt - t))
+    return out
 
 
 def _cmd_export_plot(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
-    rows = export_plot(profile, args.samples, args.digits)
-    for row in rows:
-        out.human(row)
-    # machine output carries the exact rationals; decimals are display only
-    k = profile.successor
-    samples = _plot_sample_points(profile, args.samples)
-    payload = {
-        "samples": [
-            {
-                "t": fmt_rational(t),
-                "K": fmt_rational(k.eval(t)),
-                "kappa": fmt_rational(k.eval(t) - t),
-            }
-            for t in samples
-        ]
-    }
-    out.finish("export-plot", payload)
+    samples = export_plot(load_profile(args.profile), args.samples)
+    # CSV rows display decimals; machine output carries the exact rationals
+    out.human("t,K,kappa")
+    for triple in samples:
+        out.human(",".join(fraction_to_decimal(v, args.digits) for v in triple))
+    out.finish({"samples": [dict(zip(("t", "K", "kappa"), map(fmt_rational, v))) for v in samples]})
     return EXIT_OK
 
 
@@ -653,7 +640,7 @@ DISPATCH = {
     "morphism": (_cmd_morphism, ("morphism_analyze",)),
     "resolve": (_cmd_resolve, ("projective_resolution", "projective_cover", "projective_at")),
     "pushforward": (_cmd_pushforward, ("push_forward", "compose", "invert", "map_module")),
-    "conjugate": (_cmd_conjugate, ("verify_conjugacy", "equals")),
+    "conjugate": (_cmd_conjugate, ("verify_conjugacy",)),
     "normalize": (_cmd_normalize, ("normalize_profile",)),
     "series-profile": (_cmd_series_profile, ("associated_kupisch", "validate_series")),
     "embed": (_cmd_embed, ("embed_module", "discrete_hom_dim")),
@@ -774,7 +761,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
-    out = _Emitter(args.json)
+    out = _Emitter(args.command, args.json)
     handler = DISPATCH[args.command][0]
     try:
         return handler(args, out)

@@ -75,11 +75,6 @@ def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval
     )
 
 
-# StringLift: a circle string is handled through the translate of its support
-# with left end in [0, 1); see canonical_lift.
-StringLift = Interval
-
-
 def left_intersect(u: Interval, v: Interval) -> Optional[Interval]:
     """U left-intersect V: the overlap when V only overhangs U on the right
     and U only overhangs V on the left; otherwise None.
@@ -128,7 +123,7 @@ def contains(u: Interval, v: Interval) -> bool:
     return True
 
 
-def canonical_lift(u: Interval) -> StringLift:
+def canonical_lift(u: Interval) -> Interval:
     """The unique integer translate with left end in [0, 1)."""
     return translate(u, -math.floor(u.lo))
 

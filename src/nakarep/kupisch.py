@@ -31,7 +31,6 @@ from .pwmap import (
     PiecewiseMap,
     as_rational,
     compose,
-    equals,
     fmt_bound,
     invert,
     is_finite,
@@ -257,18 +256,8 @@ def next_separation(profile: KupischProfile, c) -> Bound:
         raise DomainError(f"{fmt_bound(c)} outside domain {k.dom}")
     seps = separation_points(profile)
     if seps.periodic:
-        if not seps.points:
-            return POS_INF
-        best = None
-        for r in seps.points:
-            cand = r + math.floor(c - r) + 1
-            if best is None or cand < best:
-                best = cand
-        return best
-    later = [s for s in seps.points if s > c]
-    if later:
-        return min(later)
-    return k.dom.hi if is_finite(k.dom.hi) else POS_INF
+        return min((r + math.floor(c - r) + 1 for r in seps.points), default=POS_INF)
+    return min((s for s in seps.points if s > c), default=k.dom.hi)
 
 
 # ----- orthogonal components -----------------------------------------------
@@ -284,32 +273,24 @@ def components(profile: KupischProfile) -> List[ComponentDescriptor]:
     flagged periodic.
     """
     k = profile.successor
-    seps = separation_points(profile)
-    pts = list(seps.points)
-    if isinstance(profile.space, Circle):
-        if len(pts) <= 1:
-            left = pts[0] if pts else Fraction(0)
-            return [ComponentDescriptor(0, left, left + 1, Shape.CIRCLE_WHOLE)]
-        out = []
-        for j, c in enumerate(pts):
-            right = pts[j + 1] if j + 1 < len(pts) else pts[0] + 1
-            out.append(ComponentDescriptor(j, c, right, Shape.HALF_LINE_LIKE))
-        return out
+    pts = list(separation_points(profile).points)
+    on_circle = isinstance(profile.space, Circle)
+    if on_circle and len(pts) <= 1:
+        left = pts[0] if pts else Fraction(0)
+        return [ComponentDescriptor(0, left, left + 1, Shape.CIRCLE_WHOLE)]
+    if on_circle or (k.periodic and pts):
+        # consecutive pairs around one period, the last closing at pts[0] + 1
+        return [
+            ComponentDescriptor(j, c, right, Shape.HALF_LINE_LIKE, periodic=not on_circle)
+            for j, (c, right) in enumerate(zip(pts, pts[1:] + [pts[0] + 1]))
+        ]
     dom = k.dom if not k.periodic else Dom(NEG_INF, POS_INF, False)
-    if seps.periodic and pts:
-        out = []
-        for j, c in enumerate(pts):
-            right = pts[j + 1] if j + 1 < len(pts) else pts[0] + 1
-            out.append(ComponentDescriptor(j, c, right, Shape.HALF_LINE_LIKE, periodic=True))
-        return out
     whole_shape = Shape.HALF_LINE_LIKE if dom.lo_closed else Shape.LINE_LIKE
-    if not pts:
-        return [ComponentDescriptor(0, dom.lo, dom.hi, whole_shape)]
-    out = [ComponentDescriptor(0, dom.lo, pts[0], whole_shape)]
-    for j, c in enumerate(pts):
-        right = pts[j + 1] if j + 1 < len(pts) else dom.hi
-        out.append(ComponentDescriptor(j + 1, c, right, Shape.HALF_LINE_LIKE))
-    return out
+    ends = [dom.lo] + pts + [dom.hi]
+    return [
+        ComponentDescriptor(j, lo, hi, whole_shape if j == 0 else Shape.HALF_LINE_LIKE)
+        for j, (lo, hi) in enumerate(zip(ends, ends[1:]))
+    ]
 
 
 # ----- push-forward and conjugacy ------------------------------------------
@@ -352,7 +333,7 @@ def verify_conjugacy(
     pushed = push_forward(source, f)
     if pushed.space != target.space:
         return False
-    return equals(pushed.successor, target.successor)
+    return pushed.successor == target.successor
 
 
 # ----- normal form of the underlying space ----------------------------------

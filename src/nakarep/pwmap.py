@@ -29,7 +29,6 @@ from typing import Optional, Union
 
 from .errors import DomainError, NotBijective
 
-Rational = Fraction
 Bound = Union[Fraction, float]  # the float is only ever +-math.inf
 
 NEG_INF: Bound = -math.inf
@@ -43,7 +42,7 @@ def is_finite(b: Bound) -> bool:
 def as_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {x!r}")
 
@@ -198,8 +197,6 @@ class Dom:
         return f"{left}{fmt_bound(self.lo)}, {fmt_bound(self.hi)}{right}"
 
 
-REALS = Dom(NEG_INF, POS_INF, False)
-HALF_LINE = Dom(Fraction(0), POS_INF, True)
 UNIT = Dom(Fraction(0), Fraction(1), True)
 
 
@@ -362,32 +359,13 @@ class PiecewiseMap:
         if self.periodic:
             raise ValueError("range_info is for non-periodic maps")
         first, last = self.pieces[0], self.pieces[-1]
-        if not is_finite(self.dom.lo):
-            if first.fn.is_constant:
-                lo, lo_att = first.fn.b, True
-            elif first.fn.is_affine:
-                lo, lo_att = NEG_INF, False
-            else:
-                # increasing toward the horizontal asymptote from above
-                lo, lo_att = first.fn.a, False
-        elif first.fn.pole == self.dom.lo:
-            lo, lo_att = NEG_INF, False
-        else:
-            lo, lo_att = first.fn(self.dom.lo), self.dom.lo_closed
-            if first.fn.is_constant:
-                lo_att = True
-        if not is_finite(self.dom.hi):
-            if last.fn.is_constant:
-                hi, hi_att = last.fn.b, True
-            elif last.fn.is_affine:
-                hi, hi_att = POS_INF, False
-            else:
-                hi, hi_att = last.fn.a, False
-        elif last.fn.pole == self.dom.hi:
-            hi, hi_att = POS_INF, False
-        else:
-            hi, hi_att = last.fn(self.dom.hi), last.fn.is_constant
-        return lo, lo_att, hi, hi_att
+        # an end is attained on a closed domain end or by a constant piece
+        return (
+            _image_left(first),
+            self.dom.lo_closed or first.fn.is_constant,
+            _image_right(last),
+            last.fn.is_constant,
+        )
 
     def _range_within(self, dom: Dom) -> bool:
         lo, lo_att, hi, hi_att = self.range_info()
@@ -484,6 +462,8 @@ def invert(f: PiecewiseMap) -> PiecewiseMap:
 
 
 def _image_left(p: Piece) -> Bound:
+    if p.fn.is_constant:
+        return p.fn.b
     if not is_finite(p.lo):
         return NEG_INF if p.fn.is_affine else p.fn.a
     if p.fn.pole == p.lo:
@@ -492,6 +472,8 @@ def _image_left(p: Piece) -> Bound:
 
 
 def _image_right(p: Piece) -> Bound:
+    if p.fn.is_constant:
+        return p.fn.b
     if not is_finite(p.hi):
         return POS_INF if p.fn.is_affine else p.fn.a
     if p.fn.pole == p.hi:
@@ -513,7 +495,3 @@ def _invert_periodic(f: PiecewiseMap) -> PiecewiseMap:
     out.sort(key=lambda p: p.lo)
     return PiecewiseMap(UNIT, tuple(out), periodic=True)
 
-
-def equals(f: PiecewiseMap, g: PiecewiseMap) -> bool:
-    """Canonical forms coincide piece by piece."""
-    return f == g

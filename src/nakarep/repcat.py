@@ -10,6 +10,7 @@ covers and syzygies are all exact interval computations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -20,7 +21,6 @@ from .interval import (
     EndpointKind,
     Interval,
     canonical_lift,
-    contains,
     left_intersect,
     left_remainder,
     right_remainder,
@@ -28,28 +28,6 @@ from .interval import (
 )
 from .kupisch import Circle, KupischProfile, Line, Space, components
 from .pwmap import PiecewiseMap, as_rational, is_finite
-
-def _sort_key(u: Interval):
-    return (u.lo, 0 if u.lo_kind is CLOSED else 1, u.hi, 0 if u.hi_kind is CLOSED else 1)
-
-
-@dataclass(frozen=True)
-class ModuleExpr:
-    """A finite direct sum of interval modules, as the multiset of supports.
-
-    Summands are kept sorted (by lo, lo kind, hi, hi kind) so equal sums
-    compare equal; on the circle every summand is stored as its canonical
-    lift.
-    """
-
-    space: Space
-    summands: Tuple[Interval, ...]
-
-    def __post_init__(self):
-        summands = tuple(self.summands)
-        if isinstance(self.space, Circle):
-            summands = tuple(canonical_lift(u) for u in summands)
-        object.__setattr__(self, "summands", tuple(sorted(summands, key=_sort_key)))
 
 
 @dataclass(frozen=True)
@@ -114,30 +92,44 @@ class ResolutionReport:
 # ----- compatibility and projectives ----------------------------------------
 
 
-def _dom_holds_interval(profile: KupischProfile, u: Interval) -> bool:
-    dom = profile.successor.dom
-    if u.lo < dom.lo or (u.lo == dom.lo and not dom.lo_closed and u.lo_kind is CLOSED):
-        return False
-    if u.hi > dom.hi or (u.hi == dom.hi and u.hi_kind is CLOSED):
-        return False
-    return True
+def _fit(profile: KupischProfile, u: Interval) -> Optional[Interval]:
+    """u, lifted to [0, 1) on the circle, when it lies in [lo, K(lo)] for its
+    own left end lo; None when it does not.  Since K is non-decreasing that
+    left end is the optimal witness, and when it sits on an open domain edge
+    no witness exists at all.  Raises DomainError when u leaves the domain."""
+    k = profile.successor
+    if k.periodic:
+        if isinstance(profile.space, Circle):
+            u = canonical_lift(u)
+    else:
+        dom = k.dom
+        if (
+            u.lo < dom.lo
+            or (u.lo == dom.lo and not dom.lo_closed and u.lo_kind is CLOSED)
+            or u.hi > dom.hi
+            or (u.hi == dom.hi and u.hi_kind is CLOSED)
+        ):
+            raise DomainError(f"{u} exits the profile domain {dom}")
+        if not dom.contains(u.lo):
+            return None
+    return u if u.hi <= k.eval(u.lo) else None
+
+
+def _fit_or_raise(profile: KupischProfile, u: Interval) -> Interval:
+    """_fit for operations defined only on compatible modules."""
+    try:
+        fitted = _fit(profile, u)
+    except DomainError as e:
+        raise IncompatibleModule(str(e)) from e
+    if fitted is None:
+        raise IncompatibleModule(f"{u} is not compatible with the profile")
+    return fitted
 
 
 def is_compatible(profile: KupischProfile, u: Interval) -> bool:
     """Whether the interval fits under some projective, i.e. u is contained
-    in [t, K(t)] for some domain point t.  Since K is non-decreasing the left
-    end of u is the optimal witness; when that end is not a domain point (it
-    sits on an open domain edge) no witness exists at all."""
-    k = profile.successor
-    if k.periodic:
-        u = canonical_lift(u) if isinstance(profile.space, Circle) else u
-        t = u.lo
-        return contains(Interval(t, k.eval(t), CLOSED, CLOSED), u)
-    if not _dom_holds_interval(profile, u):
-        raise DomainError(f"{u} exits the profile domain {k.dom}")
-    if not k.dom.contains(u.lo):
-        return False
-    return contains(Interval(u.lo, k.eval(u.lo), CLOSED, CLOSED), u)
+    in [t, K(t)] for some domain point t."""
+    return _fit(profile, u) is not None
 
 
 def projective_at(profile: KupischProfile, t, left_kind: EndpointKind) -> Interval:
@@ -148,18 +140,10 @@ def projective_at(profile: KupischProfile, t, left_kind: EndpointKind) -> Interv
 
 
 def is_projective(profile: KupischProfile, u: Interval) -> bool:
-    k = profile.successor
     if u.hi_kind is not CLOSED:
         return False
-    if k.periodic:
-        if isinstance(profile.space, Circle):
-            u = canonical_lift(u)
-        return k.eval(u.lo) == u.hi
-    if not _dom_holds_interval(profile, u):
-        raise DomainError(f"{u} exits the profile domain {k.dom}")
-    if not k.dom.contains(u.lo):
-        return False
-    return k.eval(u.lo) == u.hi
+    fitted = _fit(profile, u)
+    return fitted is not None and profile.successor.eval(fitted.lo) == fitted.hi
 
 
 # ----- Hom spaces ------------------------------------------------------------
@@ -237,17 +221,9 @@ def projective_cover(
 
     The cover starts where u starts, with the same left kind, and reaches
     K(lo(u)); the syzygy is the remaining right part of the cover."""
-    try:
-        ok = is_compatible(profile, u)
-    except DomainError as e:
-        raise IncompatibleModule(str(e)) from e
-    if not ok:
-        raise IncompatibleModule(f"{u} is not compatible with the profile")
-    if profile.successor.periodic and isinstance(profile.space, Circle):
-        u = canonical_lift(u)
+    u = _fit_or_raise(profile, u)
     cover = Interval(u.lo, profile.successor.eval(u.lo), u.lo_kind, CLOSED)
-    syzygy = right_remainder(cover, u)
-    return cover, syzygy
+    return cover, right_remainder(cover, u)
 
 
 def projective_resolution(
@@ -265,29 +241,22 @@ def projective_resolution(
     covers: List[Interval] = []
     syzygies: List[Interval] = []
     current = canonical_lift(u) if on_circle else u
-    seen = {}
-    if on_circle:
-        seen[_interval_key(current)] = 0
+    seen = {current: 0}
     while len(covers) < cap:
         cover, syzygy = projective_cover(profile, current)
         covers.append(cover)
         if syzygy is None:
             return ResolutionReport(tuple(covers), tuple(syzygies), Finite(len(covers) - 1))
         syzygies.append(syzygy)
+        current = canonical_lift(syzygy) if on_circle else syzygy
         if on_circle:
-            key = _interval_key(canonical_lift(syzygy))
-            if key in seen:
-                period = len(syzygies) - seen[key]
+            if current in seen:
+                period = len(syzygies) - seen[current]
                 return ResolutionReport(
                     tuple(covers), tuple(syzygies), InfinitePeriodic(period)
                 )
-            seen[key] = len(syzygies)
-        current = canonical_lift(syzygy) if on_circle else syzygy
+            seen[current] = len(syzygies)
     return ResolutionReport(tuple(covers), tuple(syzygies), ExceededCap(cap))
-
-
-def _interval_key(u: Interval):
-    return (u.lo, u.lo_kind, u.hi, u.hi_kind)
 
 
 # ----- transport along homeomorphisms ---------------------------------------
@@ -323,38 +292,13 @@ def component_of(profile: KupischProfile, u: Interval) -> int:
     representative gets index j + k * (representatives per period), which
     may be negative on the left half of the line.
     """
-    try:
-        ok = is_compatible(profile, u)
-    except DomainError as e:
-        raise IncompatibleModule(str(e)) from e
-    if not ok:
-        raise IncompatibleModule(f"{u} is not compatible with the profile")
+    x = _fit_or_raise(profile, u).lo
     comps = components(profile)
-    if isinstance(profile.space, Circle):
-        x = canonical_lift(u).lo
-        if len(comps) == 1:
-            return 0
-        reps = [c.left for c in comps]
-        if x < reps[0] or x >= reps[-1]:
-            return len(comps) - 1
-        for j in range(len(reps) - 1):
-            if reps[j] <= x < reps[j + 1]:
-                return j
-        return len(comps) - 1
-    x = u.lo
-    if comps[0].periodic:
-        reps = [c.left for c in comps]
-        m = len(reps)
-        k = math.floor(x - reps[0])
-        y = x - k
-        for j in range(m):
-            right = reps[j + 1] if j + 1 < m else reps[0] + 1
-            if reps[j] <= y < right:
-                return j + k * m
-        raise IncompatibleModule(f"{u} not within any component")
-    for c in comps:
-        left_ok = (not is_finite(c.left)) or x >= c.left
-        right_ok = (not is_finite(c.right)) or x < c.right
-        if left_ok and right_ok:
-            return c.index
-    raise IncompatibleModule(f"{u} not within any component")
+    lefts = [c.left for c in comps]
+    on_circle = isinstance(profile.space, Circle)
+    if not (on_circle or comps[0].periodic):
+        return bisect_right(lefts, x) - 1
+    # x = y + k with y in the period [lefts[0], lefts[0] + 1)
+    k = math.floor(x - lefts[0])
+    j = bisect_right(lefts, x - k) - 1
+    return j if on_circle else j + k * len(lefts)

@@ -232,6 +232,27 @@ def brute_morphism_check(source: Interval, target_shifted: Interval, analysis):
     return failures
 
 
+def brute_component_of(profile: KupischProfile, u: Interval) -> int:
+    """component_of by a linear scan: the component [left, right) holding
+    the left end of u, found among the integer translates of the listed
+    components on periodic profiles (the translate index k scaled by the
+    number of components per period on the line, dropped on the circle)."""
+    from nakarep import Circle, components
+
+    comps = components(profile)
+    x = u.lo
+    on_circle = isinstance(profile.space, Circle)
+    if not (on_circle or comps[0].periodic):
+        hits = [c.index for c in comps if c.left <= x < c.right]
+        assert len(hits) == 1, hits
+        return hits[0]
+    ks = range(math.floor(x) - 2, math.floor(x) + 3)
+    hits = [(c.index, k) for c in comps for k in ks if c.left + k <= x < c.right + k]
+    assert len(hits) == 1, hits
+    index, k = hits[0]
+    return index if on_circle else index + k * len(comps)
+
+
 # ----- worked example profiles -----------------------------------------------
 
 

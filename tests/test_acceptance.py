@@ -27,7 +27,6 @@ from nakarep import (
     component_of,
     components,
     end_dim,
-    equals,
     hom_dim,
     interval,
     invert,
@@ -100,7 +99,7 @@ def test_criterion_2():
         ],
         periodic=True,
     )
-    assert equals(prof.successor, expected)
+    assert prof.successor == expected
     assert validate_profile(prof) == []
 
 
@@ -115,7 +114,7 @@ def test_criterion_3():
         expected = PiecewiseMap.single(
             Dom(F(0), F(1, n), True), FracLinear.affine(F(1, 2), F(1, 2 * n))
         )
-        assert equals(pushed.successor, expected)
+        assert pushed.successor == expected
         # and the full circle family restricted to each piece matches symbolically
         family = kappa_n_profile(n)
         for k in range(n):

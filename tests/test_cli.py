@@ -6,15 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from nakarep import Interval, OPEN, CLOSED
+from nakarep import Interval, OPEN, CLOSED, ParseError
 from nakarep.cli import (
     DISPATCH,
     LIBRARY_OPERATIONS,
-    format_interval,
+    _MAX_DIGITS,
     format_profile,
     fraction_to_decimal,
     parse_interval,
     parse_profile_text,
+    parse_rational,
     run,
 )
 
@@ -84,7 +85,7 @@ def invoke(capsys, *argv):
 class TestLiterals:
     def test_interval_round_trip(self):
         for text in ["[0/1, 2/1]", "(1/3, 4/3]", "[1/4, 1/2)", "(0/1, 1/1)"]:
-            assert format_interval(parse_interval(text)) == text
+            assert str(parse_interval(text)) == text
 
     def test_integer_shorthand(self):
         assert parse_interval("[0, 2]") == parse_interval("[0/1, 2/1]")
@@ -277,6 +278,20 @@ class TestErrors:
         assert code == 3
         assert "InvalidMorphism" in err
 
+    @pytest.mark.parametrize("literal", ["1e400", "1.5", "1_0", "1" * 5000 + "/3"])
+    def test_rational_grammar(self, files, capsys, literal):
+        # integers and p/q only, bounded in digits, checked before arithmetic
+        code, out, err = invoke(capsys, "hom", "circle", f"[0,{literal}]", "[0,1]")
+        assert (code, out) == (2, "")
+        assert "parse error" in err
+
+    def test_rational_digit_bound(self):
+        assert parse_rational("9" * _MAX_DIGITS) == 10**_MAX_DIGITS - 1
+        with pytest.raises(ParseError):
+            parse_rational("1/" + "9" * (_MAX_DIGITS + 1))
+        with pytest.raises(ParseError):
+            parse_rational("1/0")
+
     def test_missing_file_exit_2(self, files, capsys):
         code, _, err = invoke(capsys, "validate", "/nonexistent/profile.txt")
         assert code == 2
@@ -312,6 +327,17 @@ class TestMachineOutput:
             runs.append(out)
         assert runs[0] == runs[1]
 
+    def test_export_plot_payload(self, files, capsys):
+        code, out, _ = invoke(capsys, "--json", "export-plot", files["half"], "--samples", "3")
+        assert code == 0
+        assert json.loads(out)["payload"] == {
+            "samples": [
+                {"t": "0/1", "K": "1/2", "kappa": "1/2"},
+                {"t": "1/3", "K": "5/6", "kappa": "1/2"},
+                {"t": "2/3", "K": "7/6", "kappa": "1/2"},
+            ]
+        }
+
     def test_json_error_envelope(self, files, capsys):
         code, out, _ = invoke(capsys, "--json", "morphism", "[0,2]", "[1,3]")
         assert code == 3
@@ -332,7 +358,7 @@ class TestDispatchCoverage:
     def test_every_operation_reachable_exactly_once(self):
         inventory = {
             # maps
-            "eval", "left_limit", "compose", "invert", "equals",
+            "eval", "left_limit", "compose", "invert",
             # intervals
             "left_intersect", "translate", "contains", "canonical_lift",
             # profiles

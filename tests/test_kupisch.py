@@ -19,7 +19,6 @@ from nakarep import (
     canonical_lift,
     compose,
     components,
-    equals,
     interval,
     kappa_at,
     line_profile,
@@ -218,7 +217,7 @@ class TestPushForward:
         prof = translation_profile(1)
         ident = PiecewiseMap.identity(REALS)
         pushed = push_forward(prof, ident)
-        assert equals(pushed.successor, prof.successor)
+        assert pushed.successor == prof.successor
 
     def test_family_reproduction(self):
         half = Dom(F(0), POS_INF, True)
@@ -229,14 +228,14 @@ class TestPushForward:
             expect = PiecewiseMap.single(
                 Dom(F(0), F(1, n), True), FracLinear.affine(F(1, 2), F(1, 2 * n))
             )
-            assert equals(pushed.successor, expect)
+            assert pushed.successor == expect
 
     def test_restriction_to_half_line(self):
         prof = nu_restriction_profile()
         f = PiecewiseMap.single(prof.successor.dom, FracLinear(1, 0, -1, 1))
         pushed = push_forward(prof, f)
         expect = PiecewiseMap.single(Dom(F(0), POS_INF, True), FracLinear.affine(2, 1))
-        assert equals(pushed.successor, expect)
+        assert pushed.successor == expect
 
     def test_circle_requires_periodic_lift(self):
         with pytest.raises(DegreeError):
@@ -288,15 +287,14 @@ class TestNormalize:
         )
         normalized, witness = normalize_profile(prof)
         assert normalized == prof
-        assert equals(witness, PiecewiseMap.identity(prof.successor.dom))
+        assert witness == PiecewiseMap.identity(prof.successor.dom)
 
     def test_unit_interval_to_half_line(self):
         prof = nu_restriction_profile()
         normalized, witness = normalize_profile(prof)
         assert normalized.space == Line(Dom(F(0), POS_INF, True))
-        assert equals(
-            normalized.successor,
-            PiecewiseMap.single(Dom(F(0), POS_INF, True), FracLinear.affine(2, 1)),
+        assert normalized.successor == PiecewiseMap.single(
+            Dom(F(0), POS_INF, True), FracLinear.affine(2, 1)
         )
         assert witness.pieces[0].fn == FracLinear(1, 0, -1, 1)
         assert verify_conjugacy(witness, prof, normalized)
@@ -353,7 +351,7 @@ class TestProperties:
             g = rand_homeo_circle(rng)
             once = push_forward(prof, compose(f, g))
             twice = push_forward(push_forward(prof, g), f)
-            assert equals(once.successor, twice.successor)
+            assert once.successor == twice.successor
 
     def test_pushforward_functorial_on_half_line(self):
         rng = random.Random(6)
@@ -364,7 +362,7 @@ class TestProperties:
             f = rand_homeo_half_line(rng, lo=g_start)
             once = push_forward(prof, compose(f, g))
             twice = push_forward(push_forward(prof, g), f)
-            assert equals(once.successor, twice.successor)
+            assert once.successor == twice.successor
 
     def test_orbits_escape_when_no_separation(self):
         prof = translation_profile(F(1, 3))

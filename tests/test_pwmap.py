@@ -14,10 +14,9 @@ from nakarep import (
     Piece,
     PiecewiseMap,
     compose,
-    equals,
     invert,
 )
-from nakarep.pwmap import is_finite
+from nakarep.pwmap import as_rational, is_finite
 from oracles import rand_homeo_circle, rand_homeo_full_line, rand_homeo_half_line
 
 REALS = Dom(NEG_INF, POS_INF, False)
@@ -42,6 +41,13 @@ class TestFracLinear:
         assert FracLinear(2, 2, 1, 1) == FracLinear.const(2)  # det 0, constant
         # scaled mobius coefficients normalize identically
         assert FracLinear(2, 0, 2, 2) == FracLinear(1, 0, 1, 1)
+
+    def test_text_is_not_a_rational(self):
+        # text becomes a rational only through the cli's literal grammar
+        with pytest.raises(TypeError):
+            as_rational("1/2")
+        with pytest.raises(TypeError):
+            FracLinear.affine("1e400", 0)
 
     def test_decreasing_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +131,7 @@ class TestCompose:
     def test_identity_laws(self):
         g = affine_map(UNIT, F(1, 2), F(1, 2))
         ident = PiecewiseMap.identity(UNIT)
-        assert equals(compose(ident, g), g)
+        assert compose(ident, g) == g
 
     def test_mobius_composite(self):
         f = PiecewiseMap.single(UNIT, FracLinear(1, 0, -1, 1))
@@ -137,8 +143,8 @@ class TestCompose:
     def test_inverse_law(self):
         f = PiecewiseMap.single(UNIT, FracLinear(1, 0, -1, 1))
         fi = invert(f)
-        assert equals(compose(f, fi), PiecewiseMap.identity(fi.dom))
-        assert equals(compose(fi, f), PiecewiseMap.identity(UNIT))
+        assert compose(f, fi) == PiecewiseMap.identity(fi.dom)
+        assert compose(fi, f) == PiecewiseMap.identity(UNIT)
 
     def test_range_mismatch(self):
         f = affine_map(UNIT, 1, 0)
@@ -161,7 +167,7 @@ class TestCompose:
 
 class TestInvert:
     def test_affine(self):
-        assert equals(invert(affine_map(REALS, 1, 1)), affine_map(REALS, 1, -1))
+        assert invert(affine_map(REALS, 1, 1)) == affine_map(REALS, 1, -1)
 
     def test_mobius_on_unit(self):
         f = PiecewiseMap.single(UNIT, FracLinear(1, 0, -1, 1))
@@ -196,9 +202,7 @@ class TestInvert:
         for _ in range(25):
             f = rand_homeo_circle(rng)
             fi = invert(f)
-            assert equals(
-                compose(f, fi), PiecewiseMap.single(UNIT, FracLinear.identity(), True)
-            )
+            assert compose(f, fi) == PiecewiseMap.single(UNIT, FracLinear.identity(), True)
 
 
 class TestEquals:
@@ -211,11 +215,11 @@ class TestEquals:
                 Piece(F(5), POS_INF, FracLinear.affine(1, 1)),
             ),
         )
-        assert equals(one, split)
+        assert one == split
         assert len(split.pieces) == 1
 
     def test_different_slopes(self):
-        assert not equals(affine_map(REALS, 1, 1), affine_map(REALS, 2, 1))
+        assert affine_map(REALS, 1, 1) != affine_map(REALS, 2, 1)
 
     def test_pushed_translation_is_first_family_piece(self):
         # conjugating 2t+1 by t -> t/(1+t) gives the map with length 1/2 - t/2
@@ -223,7 +227,7 @@ class TestEquals:
         lam = affine_map(half, 2, 1)
         f = PiecewiseMap.single(half, FracLinear(1, 0, 1, 1))
         pushed = compose(f, compose(lam, invert(f)))
-        assert equals(pushed, affine_map(Dom(F(0), F(1), True), F(1, 2), F(1, 2)))
+        assert pushed == affine_map(Dom(F(0), F(1), True), F(1, 2), F(1, 2))
 
 
 class TestProperties:
@@ -241,16 +245,16 @@ class TestProperties:
             f = rand_homeo_full_line(rng)
             g = rand_homeo_full_line(rng)
             h = rand_homeo_full_line(rng)
-            assert equals(compose(compose(f, g), h), compose(f, compose(g, h)))
+            assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
     def test_double_invert(self):
         rng = random.Random(7)
         for _ in range(30):
             f = rand_homeo_full_line(rng)
-            assert equals(invert(invert(f)), f)
+            assert invert(invert(f)) == f
         for _ in range(30):
             f = rand_homeo_circle(rng)
-            assert equals(invert(invert(f)), f)
+            assert invert(invert(f)) == f
 
     def test_periodic_eval_translation(self):
         rng = random.Random(8)
@@ -264,8 +268,8 @@ class TestProperties:
         for _ in range(30):
             f = rand_homeo_half_line(rng)
             again = PiecewiseMap(f.dom, f.pieces, f.periodic)
-            assert equals(f, again)
-            assert equals(again, PiecewiseMap(again.dom, again.pieces, again.periodic))
+            assert f == again
+            assert again == PiecewiseMap(again.dom, again.pieces, again.periodic)
 
 
 # ----- random maps for the property tests ---------------------------------------

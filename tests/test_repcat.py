@@ -13,11 +13,11 @@ from nakarep import (
     FracLinear,
     Finite,
     IncompatibleModule,
+    KupischProfile,
     InfinitePeriodic,
     Interval,
     InvalidMorphism,
     Line,
-    ModuleExpr,
     NEG_INF,
     OPEN,
     POS_INF,
@@ -25,6 +25,7 @@ from nakarep import (
     ScalarMorphism,
     canonical_lift,
     component_of,
+    components,
     end_dim,
     hom_dim,
     interval,
@@ -43,6 +44,7 @@ from nakarep import (
 )
 from nakarep.discrete import KupischSeries, associated_kupisch
 from oracles import (
+    brute_component_of,
     brute_hom_circle,
     brute_hom_line,
     brute_morphism_check,
@@ -60,20 +62,6 @@ from oracles import (
 )
 
 LINE = Line(Dom(NEG_INF, POS_INF, False))
-
-
-class TestModuleExpr:
-    def test_summands_sorted(self):
-        a = interval(0, 1)
-        b = interval(0, 1, False, True)
-        m1 = ModuleExpr(LINE, (b, a))
-        m2 = ModuleExpr(LINE, (a, b))
-        assert m1 == m2
-        assert m1.summands[0] == a
-
-    def test_circle_summands_canonicalized(self):
-        m = ModuleExpr(CIRCLE, (interval(F(5, 4), F(7, 4)),))
-        assert m.summands[0] == interval(F(1, 4), F(3, 4))
 
 
 class TestCompatibility:
@@ -245,6 +233,46 @@ class TestProjectiveCover:
             projective_cover(translation_profile(1), interval(0, 2))
 
 
+class TestDomainErrors:
+    """An interval leaving a line profile's domain: the predicates raise
+    DomainError, the operations defined on compatible modules only raise
+    IncompatibleModule."""
+
+    @staticmethod
+    def _cases():
+        half = Dom(F(0), POS_INF, True)
+        unit = Dom(F(0), F(1), True)
+        open_half = Dom(F(0), POS_INF, False)
+        return [
+            (line_profile(half, PiecewiseMap.single(half, FracLinear.affine(1, 1))),
+             interval(-1, 0)),
+            (line_profile(unit, PiecewiseMap.single(unit, FracLinear.affine(F(1, 2), F(1, 2)))),
+             interval(F(1, 2), 1)),
+            (line_profile(open_half, PiecewiseMap.single(open_half, FracLinear.affine(1, 1))),
+             interval(0, F(1, 2))),
+        ]
+
+    def test_predicates_raise_domain_error(self):
+        for prof, u in self._cases():
+            with pytest.raises(DomainError):
+                is_compatible(prof, u)
+            with pytest.raises(DomainError):
+                is_projective(prof, u)
+
+    def test_operations_raise_incompatible_module(self):
+        for prof, u in self._cases():
+            with pytest.raises(IncompatibleModule):
+                projective_cover(prof, u)
+            with pytest.raises(IncompatibleModule):
+                component_of(prof, u)
+            with pytest.raises(IncompatibleModule):
+                projective_resolution(prof, u)
+
+    def test_right_open_interval_is_not_projective_before_domain_check(self):
+        prof, u = self._cases()[0]
+        assert is_projective(prof, Interval(u.lo, u.hi, u.lo_kind, OPEN)) is False
+
+
 class TestResolutions:
     def test_staircase_finite(self):
         prof = findim_profile()
@@ -318,6 +346,48 @@ class TestComponentOf:
         assert component_of(prof, interval(F(3, 2), F(7, 4))) == 1
         assert component_of(prof, interval(F(1, 2), F(3, 4))) == 0
         assert component_of(prof, interval(F(-3, 4), F(-5, 8))) == -1
+
+    @staticmethod
+    def _planted(prof, rng):
+        """Compatible intervals with left ends on every component's left
+        end (separation points and the domain's left end), their integer
+        translates on periodic profiles, and random compatible intervals."""
+        k = prof.successor
+        lefts = [c.left for c in components(prof)] + [F(0)]
+        shifts = (-3, -1, 0, 1, 2) if k.periodic else (0,)
+        out = [rand_compatible_interval(rng, prof) for _ in range(6)]
+        for left in lefts:
+            for n in shifts:
+                x = left + n
+                if not (isinstance(x, F) and (k.periodic or k.dom.contains(x))):
+                    continue
+                half = x + (k.eval(x) - x) / 2
+                out += [interval(x, half), Interval(x, half, OPEN, CLOSED), interval(x, x)]
+        return out
+
+    def test_matches_linear_scan(self):
+        rng = random.Random(23)
+        profiles = [nu_profile(), kappa_n_profile(3)]
+        for _ in range(40):
+            circ = rand_profile_circle(rng, max_pieces=5, sep_chance=0.6)
+            profiles += [
+                circ,
+                KupischProfile(LINE, circ.successor),  # the periodic line
+                rand_profile_half_line(rng, max_pieces=5, sep_chance=0.6),
+            ]
+        checked = 0
+        for prof in profiles:
+            for u in self._planted(prof, rng):
+                assert component_of(prof, u) == brute_component_of(prof, u), (prof, u)
+                checked += 1
+        assert checked > 1000
+
+    def test_periodic_line_translate_index(self):
+        prof = nu_profile()
+        for k in (-5, -2, -1, 1, 3, 7):
+            assert component_of(prof, interval(k, k)) == k
+            assert component_of(prof, interval(k + F(1, 3), k + F(1, 2))) == k
+            assert component_of(prof, Interval(F(k), k + F(1, 4), OPEN, CLOSED)) == k
 
 
 class TestTransportProperties:
