@@ -90,9 +90,12 @@ EXIT_MATH = 3
 
 
 _RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # digits per integer: CPython's default int/str conversion limit, enforced
 # here so that it holds on every supported version
 _MAX_DIGITS = 4300
+# export-plot builds its samples as one list; this bounds its memory
+_MAX_SAMPLES = 10000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -110,6 +113,26 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(sign + num), int(den or 1))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {text!r}: {e}") from e
+
+
+def _parse_integer(
+    text: str, context: str = "", nonnegative: bool = False, at_most: Optional[int] = None
+) -> int:
+    """An integer literal: the grammar of :func:`parse_rational` without
+    ``/q``, under the same digit bound, checked before any arithmetic; the
+    error message starts with ``context``."""
+    t = text.strip()
+    if not _INTEGER_RE.fullmatch(t):
+        problem = f"invalid literal for int() with base 10: {text!r}"
+    elif len(t.lstrip("+-")) > _MAX_DIGITS:
+        problem = f"integer literal with more than {_MAX_DIGITS} digits"
+    elif nonnegative and int(t) < 0:
+        problem = f"expected a non-negative integer, got {int(t)}"
+    elif at_most is not None and int(t) > at_most:
+        problem = f"expected at most {at_most}, got {int(t)}"
+    else:
+        return int(t)
+    raise ParseError(f"{context}: {problem}" if context else problem)
 
 
 def parse_bound(text: str) -> Bound:
@@ -151,23 +174,16 @@ def parse_dom(text: str) -> Dom:
 
 
 def parse_series(text: str) -> KupischSeries:
-    try:
-        lengths = tuple(int(part) for part in text.split(","))
-    except ValueError as e:
-        raise ParseError(f"bad series literal {text!r}: {e}") from e
-    if not lengths:
-        raise ParseError("empty series")
-    return KupischSeries(lengths)
+    context = f"bad series literal {text!r}"
+    return KupischSeries(tuple(_parse_integer(part, context) for part in text.split(",")))
 
 
 def parse_discrete_module(text: str) -> DiscreteModule:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"bad module literal {text!r}; expected top,length")
-    try:
-        return DiscreteModule(int(parts[0]), int(parts[1]))
-    except ValueError as e:
-        raise ParseError(f"bad module literal {text!r}: {e}") from e
+    top, length = (_parse_integer(part, f"bad module literal {text!r}") for part in parts)
+    return DiscreteModule(top, length)
 
 
 # ----- profile and homeomorphism files ---------------------------------------
@@ -488,7 +504,10 @@ def _cmd_morphism(args, out: _Emitter) -> int:
 def _cmd_resolve(args, out: _Emitter) -> int:
     profile = load_profile(args.profile)
     u = parse_interval(args.interval)
-    cap = args.cap if args.cap is not None else int(os.environ.get("NAKAREP_CAP", DEFAULT_RESOLUTION_CAP))
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("NAKAREP_CAP", str(DEFAULT_RESOLUTION_CAP))
+        cap = _parse_integer(env, "NAKAREP_CAP", nonnegative=True)
     report = projective_resolution(profile, u, cap=cap)
     payload = {
         "verdict": str(report.verdict),
@@ -654,15 +673,20 @@ LIBRARY_OPERATIONS = frozenset(
 )
 
 
-def _count(text: str) -> int:
-    """argparse type of the count options: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
-    return n
+def _option(**bounds):
+    """argparse type of an integer option: a bad value is a parse error
+    (exit 2) before any command runs."""
+
+    def convert(text: str) -> int:
+        try:
+            return _parse_integer(text, **bounds)
+        except ParseError as e:
+            raise argparse.ArgumentTypeError(f"parse error: {e}") from None
+
+    return convert
+
+
+_count = _option(nonnegative=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -710,7 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("morphism", help="image, kernel, cokernel of a scalar morphism")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--shift", type=int, default=0, help="translation component (circle)")
+    p.add_argument("--shift", type=_option(), default=0, help="translation component (circle)")
     p.add_argument("--coefficient", default="1", help="nonzero scalar (default 1)")
 
     p = sub.add_parser("resolve", help="projective resolution of a module")
@@ -748,7 +772,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-plot", help="CSV samples of t, K(t), kappa(t)")
     p.add_argument("profile")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument(
+        "--samples", type=_option(at_most=_MAX_SAMPLES), default=16,
+        help=f"number of sample points, at most {_MAX_SAMPLES} (default 16)",
+    )
     p.add_argument("--digits", type=_count, default=6)
 
     return top

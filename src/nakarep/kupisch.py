@@ -133,12 +133,12 @@ def validate_profile(profile: KupischProfile) -> List[str]:
 def _kappa_violation(piece: Piece, k: PiecewiseMap) -> Optional[str]:
     """Check K(t) - t > 0 on the piece by exact sign analysis of the rational
     function (a t + b)/(c t + d) - t, whose numerator is a quadratic."""
-    fn = piece.fn
+    a, b, c, d = piece.fn.m
     # sign of the denominator c t + d is constant on the piece
-    if fn.c == 0:
-        s = 1
+    if c == 0:
+        s = 1  # d > 0 in FracLinear's normal form
     else:
-        pole = fn.pole
+        pole = piece.fn.pole
         if is_finite(piece.lo) and piece.lo != pole:
             t_s = piece.lo
         elif is_finite(piece.hi) and piece.hi != pole:
@@ -147,18 +147,20 @@ def _kappa_violation(piece: Piece, k: PiecewiseMap) -> Optional[str]:
             t_s = piece.lo + 1
         else:
             t_s = piece.hi - 1
-        s = 1 if fn.c * t_s + fn.d > 0 else -1
-    qa = -s * fn.c
-    qb = s * (fn.a - fn.d)
-    qc = s * fn.b
+        s = 1 if c * t_s.numerator + d * t_s.denominator > 0 else -1
+    qa = -s * c
+    qb = s * (a - d)
+    qc = s * b
     lo_included = not (piece.lo == k.dom.lo and not k.dom.lo_closed and not k.periodic)
     if _positive_on(qa, qb, qc, piece.lo, piece.hi, lo_included):
         return None
     return f"piece {piece}: kappa <= 0 somewhere on the piece"
 
 
-def _quad(qa: Fraction, qb: Fraction, qc: Fraction, t: Fraction) -> Fraction:
-    return qa * t * t + qb * t + qc
+def _quad(qa: int, qb: int, qc: int, t: Fraction) -> int:
+    """q^2 times the quadratic at t = p/q: the sign of its value, in integers."""
+    p, q = t.numerator, t.denominator
+    return (qa * p + qb * q) * p + qc * q * q
 
 
 def _positive_on(qa, qb, qc, lo: Bound, hi: Bound, lo_included: bool) -> bool:

@@ -1,22 +1,25 @@
 """Exact arithmetic for increasing piecewise fractional-linear maps.
 
-Every number is an arbitrary-precision rational (``fractions.Fraction``);
-domain ends may be ``+-math.inf``.  Comparisons between ``Fraction`` and the
-infinities are exact, and no arithmetic is ever performed on an infinite
-bound, so nothing in this module rounds.
+Points and piece ends are arbitrary-precision rationals
+(``fractions.Fraction``); domain ends may be ``+-math.inf``.  Comparisons
+between ``Fraction`` and the infinities are exact, and no arithmetic is ever
+performed on an infinite bound, so nothing in this module rounds.
 
 A :class:`PiecewiseMap` is a finite list of left-closed right-open pieces,
-each carrying a fractional-linear formula ``t -> (a*t + b)/(c*t + d)``.
-Periodic maps store one period of pieces on ``[0, 1)`` and extend by
-``F(t + 1) = F(t) + 1``.  All values are immutable and all operations are
-pure, so concurrent use needs no synchronization.
+each carrying a fractional-linear formula ``t -> (a*t + b)/(c*t + d)``,
+stored as one gcd-reduced integer 4-tuple.  Periodic maps store one period
+of pieces on ``[0, 1)`` and extend by ``F(t + 1) = F(t) + 1``.  All values
+are immutable and all operations are pure, so concurrent use needs no
+synchronization.
 
-Costs, counted in rational operations for maps of n (outer) and m (inner)
-pieces, whose own cost grows with the bit height of the coefficients:
-building a map checks its invariants in O(n); ``eval`` bisects the piece
-starts cached at construction, O(log n); ``compose`` solves one preimage
-per cut it makes, O(m log n + k) for k cuts, with k + m bounding the
-output; ``invert`` is O(n), or O(n log n) for periodic maps.
+Costs, counted in integer operations whose own cost grows with the bit
+height of the coefficients: a formula is applied or solved with four
+products and one gcd, and composed with eight products and one gcd.  For
+maps of n (outer) and m (inner) pieces, building a map checks its
+invariants in O(n); ``eval`` bisects the piece starts cached at
+construction, O(log n); ``compose`` solves one preimage per cut it makes,
+O(m log n + k) for k cuts, with k + m bounding the output; ``invert`` is
+O(n), or O(n log n) for periodic maps.
 """
 
 from __future__ import annotations
@@ -65,40 +68,30 @@ def fmt_bound(b: Bound) -> str:
     return "+inf" if b > 0 else "-inf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FracLinear:
-    """The map ``t -> (a*t + b)/(c*t + d)``, stored in a normal form.
+    """The map ``t -> (a*t + b)/(c*t + d)``, stored as one integer 4-tuple.
 
-    Normal forms: constants are ``(0, v, 0, 1)``; affine maps are
-    ``(m, q, 0, 1)`` with ``m > 0``; everything else has ``c = 1`` and
-    determinant ``a*d - b*c > 0``.  Decreasing maps are rejected, so equal
-    maps always compare equal structurally.
+    ``m = (a, b, c, d)`` has coprime entries, ``c > 0`` for a Moebius map,
+    ``c = 0 < d`` for an affine map and is ``(0, p, 0, q)`` for the
+    constant p/q.  Decreasing maps are rejected, so equal maps have equal
+    ``m`` and compare equal structurally.  The properties ``a``, ``b``,
+    ``c``, ``d`` read the rational normal form: ``m`` scaled to ``c = 1``
+    for a Moebius map and to ``d = 1`` otherwise.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    m: tuple
 
-    def __post_init__(self):
-        a, b, c, d = (as_rational(v) for v in (self.a, self.b, self.c, self.d))
-        if c == 0 and d == 0:
-            raise ValueError("fractional-linear map with zero denominator")
-        det = a * d - b * c
-        if det < 0:
-            raise ValueError("decreasing fractional-linear map")
-        if det == 0:
-            # rows are proportional: the map is constant away from the pole
-            v = a / c if c != 0 else b / d
-            a, b, c, d = Fraction(0), v, Fraction(0), Fraction(1)
-        elif c == 0:
-            a, b, d = a / d, b / d, Fraction(1)
-        else:
-            a, b, d, c = a / c, b / c, d / c, Fraction(1)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+    def __init__(self, a, b, c, d):
+        qs = [as_rational(v) for v in (a, b, c, d)]
+        den = math.lcm(*(q.denominator for q in qs))
+        ints = (q.numerator * (den // q.denominator) for q in qs)
+        object.__setattr__(self, "m", _normal(*ints).m)
+
+    a = property(lambda self: Fraction(self.m[0], self.m[2] or self.m[3]))
+    b = property(lambda self: Fraction(self.m[1], self.m[2] or self.m[3]))
+    c = property(lambda self: Fraction(self.m[2], self.m[2] or self.m[3]))
+    d = property(lambda self: Fraction(self.m[3], self.m[2] or self.m[3]))
 
     @classmethod
     def affine(cls, slope, intercept) -> "FracLinear":
@@ -114,50 +107,67 @@ class FracLinear:
 
     @property
     def is_affine(self) -> bool:
-        return self.c == 0
+        return self.m[2] == 0
 
     @property
     def is_constant(self) -> bool:
-        return self.c == 0 and self.a == 0
-
-    @property
-    def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        return self.m[2] == 0 and self.m[0] == 0
 
     @property
     def pole(self) -> Optional[Fraction]:
-        return None if self.c == 0 else -self.d
+        _, _, c, d = self.m
+        return None if c == 0 else Fraction(-d, c)
 
     def __call__(self, t) -> Fraction:
         t = as_rational(t)
-        return (self.a * t + self.b) / (self.c * t + self.d)
+        a, b, c, d = self.m
+        p, q = t.numerator, t.denominator
+        return Fraction(a * p + b * q, c * p + d * q)
 
     def compose(self, other: "FracLinear") -> "FracLinear":
         """self after other, as the matrix product of the coefficient matrices."""
-        return FracLinear(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.m
+        e, f, g, h = other.m
+        return _normal(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "FracLinear":
-        if self.det == 0:
+        if self.is_constant:
             raise NotBijective("constant formula has no inverse")
-        return FracLinear(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self.m
+        return _normal(d, -b, -c, a)
 
     def shifted(self, n: int) -> "FracLinear":
         """The conjugate ``t -> self(t - n) + n`` by the integer translation,
         in closed form; the determinant is unchanged."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return FracLinear(a + n * c, b - n * a + n * d - n * n * c, c, d - n * c)
+        a, b, c, d = self.m
+        return _normal(a + n * c, b - n * a + n * d - n * n * c, c, d - n * c)
 
     def preimage(self, w: Fraction) -> Optional[Fraction]:
         """Solve ``self(t) == w`` exactly; None when w is the unattained limit."""
-        den = self.a - w * self.c
+        a, b, c, d = self.m
+        p, q = w.numerator, w.denominator
+        den = q * a - p * c
         if den == 0:
             return None
-        return (w * self.d - self.b) / den
+        return Fraction(p * d - q * b, den)
+
+
+def _normal(a: int, b: int, c: int, d: int) -> FracLinear:
+    """The FracLinear of the integer matrix ``(a, b, c, d)``, normalized."""
+    if c == 0 and d == 0:
+        raise ValueError("fractional-linear map with zero denominator")
+    det = a * d - b * c
+    if det < 0:
+        raise ValueError("decreasing fractional-linear map")
+    if det == 0:
+        # rows are proportional: the map is constant away from the pole
+        a, b, c, d = (0, a, 0, c) if c != 0 else (0, b, 0, d)
+    g = math.gcd(a, b, c, d)
+    if (c or d) < 0:
+        g = -g
+    fn = object.__new__(FracLinear)
+    object.__setattr__(fn, "m", (a // g, b // g, c // g, d // g))
+    return fn
 
 
 @dataclass(frozen=True)

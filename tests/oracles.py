@@ -15,6 +15,8 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import assume, strategies as st
+
 from nakarep import (
     CLOSED,
     Line,
@@ -33,6 +35,7 @@ from nakarep import (
     line_profile,
     validate_profile,
 )
+from nakarep.pwmap import is_finite
 
 F = Fraction
 
@@ -251,6 +254,131 @@ def brute_component_of(profile: KupischProfile, u: Interval) -> int:
     assert len(hits) == 1, hits
     index, k = hits[0]
     return index if on_circle else index + k * len(comps)
+
+
+# ----- FracLinear in Fractions ------------------------------------------------
+
+
+def ref_normal_form(a, b, c, d):
+    """The rational normal form of t -> (a t + b)/(c t + d), computed in
+    Fractions: constants are (0, v, 0, 1), affine maps (m, q, 0, 1) with
+    m > 0, everything else has c = 1 and a d - b c > 0.  Raises ValueError
+    for a zero denominator or a decreasing map."""
+    a, b, c, d = (F(v) for v in (a, b, c, d))
+    if c == 0 and d == 0:
+        raise ValueError("fractional-linear map with zero denominator")
+    det = a * d - b * c
+    if det < 0:
+        raise ValueError("decreasing fractional-linear map")
+    if det == 0:
+        return (F(0), a / c if c != 0 else b / d, F(0), F(1))
+    if c == 0:
+        return (a / d, b / d, F(0), F(1))
+    return (a / c, b / c, F(1), d / c)
+
+
+def ref_integer_form(coeffs):
+    """A rational normal form scaled to coprime integers (c > 0 for a
+    Moebius map, else d > 0), by the lcm of its denominators."""
+    den = math.lcm(*(q.denominator for q in coeffs))
+    return tuple(int(q * den) for q in coeffs)
+
+
+def ref_apply(coeffs, t: Fraction) -> Fraction:
+    a, b, c, d = coeffs
+    return (a * t + b) / (c * t + d)
+
+
+def ref_profile_violations(k: PiecewiseMap, coeffs) -> list:
+    """validate_profile's messages for a one-piece line profile with the
+    successor k, whose formula has the rational normal form coeffs: kappa
+    checked by a Fraction sign analysis of the quadratic numerator of
+    K(t) - t, containment by evaluating at the right end."""
+    (piece,) = k.pieces
+    a, b, c, d = coeffs
+    out = []
+    if not _ref_kappa_positive(coeffs, piece, k.dom):
+        out.append(f"piece {piece}: kappa <= 0 somewhere on the piece")
+    if is_finite(k.dom.hi):
+        if c != 0 and -d / c == piece.hi:
+            out.append(f"piece {piece}: K escapes to +inf inside the domain")
+        else:
+            limit = ref_apply(coeffs, piece.hi)
+            if limit > k.dom.hi or (limit == k.dom.hi and a == 0 and c == 0):
+                out.append(f"piece {piece}: [t, K(t)] leaves the domain {k.dom}")
+    return out
+
+
+def _ref_kappa_positive(coeffs, piece: Piece, dom: Dom) -> bool:
+    a, b, c, d = coeffs
+    lo, hi = piece.lo, piece.hi
+    if c == 0:
+        s = 1
+    else:
+        pole = -d / c
+        if is_finite(lo) and lo != pole:
+            t_s = lo
+        elif is_finite(hi) and hi != pole:
+            t_s = hi
+        elif is_finite(lo):
+            t_s = lo + 1
+        else:
+            t_s = hi - 1
+        s = 1 if c * t_s + d > 0 else -1
+    qa, qb, qc = -s * c, s * (a - d), s * b
+    lo_included = not (lo == dom.lo and not dom.lo_closed)
+
+    def quad(t):
+        return qa * t * t + qb * t + qc
+
+    if qa == 0 and qb == 0:
+        return qc > 0
+    if is_finite(lo):
+        v = quad(lo)
+        if v < 0 or (v == 0 and lo_included):
+            return False
+        if v == 0:
+            slope = 2 * qa * lo + qb
+            if slope < 0 or (slope == 0 and qa <= 0):
+                return False
+    elif qa < 0 or (qa == 0 and qb > 0):
+        return False
+    if is_finite(hi):
+        if quad(hi) < 0:
+            return False
+    elif qa < 0 or (qa == 0 and qb < 0):
+        return False
+    if qa > 0:
+        vertex = -qb / (2 * qa)
+        if lo < vertex < hi and quad(vertex) <= 0:
+            return False
+    return True
+
+
+# ----- random FracLinear coefficients (hypothesis strategies) ------------------
+
+HEIGHT = 2**200
+RATIONALS = st.builds(F, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+NONZERO = RATIONALS.filter(lambda q: q != 0)
+
+
+@st.composite
+def coefficients(draw, det=None):
+    """Rational (a, b, c, d) of mixed signs and heights up to 2^200, with
+    a d - b c > 0 (det "+"), = 0 (det "0") or of either sign (det None);
+    about half of them affine (c = 0)."""
+    c = draw(st.one_of(st.just(F(0)), RATIONALS))
+    d = draw(RATIONALS if c != 0 else NONZERO)
+    if det == "0":
+        # rows proportional; with c = 0 the map is the constant b / d
+        lam = draw(RATIONALS)
+        return (lam * c, lam * d if c != 0 else draw(RATIONALS), c, d)
+    a, b = draw(RATIONALS), draw(RATIONALS)
+    if det == "+":
+        if a * d - b * c < 0:
+            a, b = -a, -b
+        assume(a * d - b * c > 0)
+    return (a, b, c, d)
 
 
 # ----- worked example profiles -----------------------------------------------

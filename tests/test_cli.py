@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,13 +7,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from nakarep import Interval, OPEN, CLOSED, ParseError
+from nakarep import (
+    CLOSED,
+    OPEN,
+    Interval,
+    KupischSeries,
+    ParseError,
+    associated_kupisch,
+    push_forward,
+)
 from nakarep.cli import (
     DISPATCH,
     LIBRARY_OPERATIONS,
     _MAX_DIGITS,
     format_profile,
     fraction_to_decimal,
+    parse_homeo_text,
     parse_interval,
     parse_profile_text,
     parse_rational,
@@ -54,6 +64,18 @@ piece [0/1, 1/1) mobius 1 0 -1 1
 ROTATION_HOMEO = """\
 homeo circle
 piece [0/1, 1/1) affine 1/1 1/8
+"""
+
+CHAIN_HOMEO = """\
+homeo circle
+piece [0/1, 1/3) mobius 1/2 0/1 -1/1 2/3
+piece [1/3, 1/1) affine 3/4 1/4
+"""
+
+CHAIN_LINK_12 = """\
+space circle
+piece [0/1, 16600069/16777216) affine 0/1 1/1
+piece [16600069/16777216, 1/1) affine 0/1 16600069/8388608
 """
 
 
@@ -104,6 +126,22 @@ class TestProfileFiles:
         for text in (KAPPA2, HALF_CIRCLE, TRANSLATION, UNIT_SHRINK):
             prof = parse_profile_text(text)
             assert parse_profile_text(format_profile(prof)) == prof
+
+    def test_round_trip_tall_coefficients(self):
+        # twelve links of the chain along one two-piece circle homeomorphism
+        # add about 2 bits of coefficient height per link; the texts of link
+        # 12 are those of the Fraction-coefficient implementation
+        f = parse_homeo_text(CHAIN_HOMEO)
+        series = associated_kupisch(KupischSeries((3, 2, 2)))
+        kappa2 = parse_profile_text(KAPPA2)
+        for _ in range(12):
+            series, kappa2 = push_forward(series, f), push_forward(kappa2, f)
+        for prof in (series, kappa2):
+            assert parse_profile_text(format_profile(prof)) == prof
+        assert format_profile(series) == CHAIN_LINK_12
+        digest = hashlib.sha256(format_profile(kappa2).encode()).hexdigest()
+        assert digest == "7c200269bcded90016b046a70e928cee127c3fc6e2d0c68b5bf96d44c4dc2c8b"
+        assert len(kappa2.successor.pieces) == 16
 
     def test_comments_ignored(self):
         prof = parse_profile_text(KAPPA2)
@@ -291,6 +329,44 @@ class TestErrors:
             parse_rational("1/" + "9" * (_MAX_DIGITS + 1))
         with pytest.raises(ParseError):
             parse_rational("1/0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series-profile", "3,3,2_0"],
+            ["embed", "3,3,2", "0,0_3"],
+            ["export-plot", "half", "--samples", "1_0"],
+            ["morphism", "[0,1]", "[0,1]", "--shift", "1_0"],
+        ],
+    )
+    def test_integer_grammar(self, files, capsys, argv):
+        # integer literals follow the rational grammar without /q
+        code, out, err = invoke(capsys, *(files["half"] if a == "half" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert "parse error" in err
+
+    @pytest.mark.parametrize("cap", ["abc", "-5"])
+    def test_cap_env_grammar(self, files, capsys, monkeypatch, cap):
+        monkeypatch.setenv("NAKAREP_CAP", cap)
+        code, out, err = invoke(capsys, "resolve", files["half"], "(0,1/4]")
+        assert (code, out) == (2, "")
+        assert "parse error" in err and "NAKAREP_CAP" in err
+
+    def test_samples_bound(self, files, capsys, monkeypatch):
+        import nakarep.cli as cli
+
+        def no_samples(*_):
+            raise AssertionError("samples built for a rejected count")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "export_plot", no_samples)
+            code, out, err = invoke(capsys, "export-plot", files["half"], "--samples", "10001")
+        assert (code, out) == (2, "")
+        assert "parse error" in err and "at most 10000" in err
+        code, out, _ = invoke(capsys, "export-plot", files["half"], "--samples", "10000")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 10000
+        assert "at most 10000" in invoke(capsys, "export-plot", "--help")[1]
 
     def test_missing_file_exit_2(self, files, capsys):
         code, _, err = invoke(capsys, "validate", "/nonexistent/profile.txt")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nakarep import (
     CIRCLE,
@@ -32,7 +33,11 @@ from nakarep import (
 )
 from nakarep.discrete import KupischSeries, associated_kupisch
 from oracles import (
+    RATIONALS,
+    coefficients,
     constant_circle_profile,
+    ref_normal_form,
+    ref_profile_violations,
     findim_profile,
     kappa_n_profile,
     nu_profile,
@@ -377,3 +382,37 @@ class TestProperties:
             m = len(separation_points(prof).points)
             comps = components(prof)
             assert len(comps) == (m if m >= 2 else 1)
+
+
+# ----- validation against a Fraction sign analysis -------------------------------
+
+POSITIVE = RATIONALS.map(abs).filter(lambda q: q > 0)
+
+
+@st.composite
+def one_piece_domains(draw, pole):
+    """A line domain on which a formula with this pole (None when affine) is
+    a one-piece map: right of the pole, where it may sit at an open left
+    end, or left of it, where it may sit at the right end."""
+    x = draw(RATIONALS) if pole is None else pole
+    if pole is not None and draw(st.booleans()):
+        hi = draw(st.sampled_from((x, x - draw(POSITIVE))))
+        lo = draw(st.sampled_from((NEG_INF, hi - draw(POSITIVE))))
+    else:
+        lo = draw(st.sampled_from((x, x + draw(POSITIVE))))
+        hi = draw(st.sampled_from((POS_INF, lo + draw(POSITIVE))))
+    closed = lo not in (NEG_INF, pole) and draw(st.booleans())
+    return Dom(lo, hi, closed)
+
+
+class TestValidateIntegerForm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_verdicts_match_fraction_reference(self, data):
+        # affine, Moebius and constant pieces of heights up to 2^200
+        raw = data.draw(st.one_of(coefficients("+"), coefficients("0")))
+        fn = FracLinear(*raw)
+        k = PiecewiseMap.single(data.draw(one_piece_domains(fn.pole)), fn)
+        violations = validate_profile(line_profile(k.dom, k))
+        assert violations == ref_profile_violations(k, ref_normal_form(*raw))
+

@@ -17,7 +17,16 @@ from nakarep import (
     invert,
 )
 from nakarep.pwmap import as_rational, is_finite
-from oracles import rand_homeo_circle, rand_homeo_full_line, rand_homeo_half_line
+from oracles import (
+    NONZERO,
+    RATIONALS,
+    coefficients,
+    rand_homeo_circle,
+    rand_homeo_full_line,
+    rand_homeo_half_line,
+    ref_integer_form,
+    ref_normal_form,
+)
 
 REALS = Dom(NEG_INF, POS_INF, False)
 UNIT = Dom(F(0), F(1), True)
@@ -480,3 +489,94 @@ class TestComposeCost:
         monkeypatch.setattr(FracLinear, "preimage", counted)
         comp = compose(f, g)
         assert len(calls) <= len(comp.pieces) + len(g.pieces)
+
+
+# ----- the integer form against Fraction arithmetic ----------------------------
+
+MAPS = st.one_of(coefficients("+"), coefficients("0")).map(lambda q: FracLinear(*q))
+INT_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def assert_normal_form(fn: FracLinear, ref) -> None:
+    """fn reads as the Fraction normal form ref and stores it as coprime ints."""
+    assert (fn.a, fn.b, fn.c, fn.d) == ref
+    assert fn.m == ref_integer_form(ref)
+
+
+class TestIntegerForm:
+    @INT_PROPERTY
+    @given(st.one_of(coefficients(), coefficients("+"), coefficients("0")))
+    def test_accessors_are_the_reference_normal_form(self, raw):
+        try:
+            ref = ref_normal_form(*raw)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                FracLinear(*raw)
+            return
+        assert_normal_form(FracLinear(*raw), ref)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            FracLinear(1, 2, 0, 0)
+
+    @INT_PROPERTY
+    @given(st.one_of(coefficients("+"), coefficients("0")), coefficients("+"), NONZERO)
+    def test_equality_and_hash(self, raw, other, lam):
+        fn, fo = FracLinear(*raw), FracLinear(*other)
+        assert (fn == fo) == (ref_normal_form(*raw) == ref_normal_form(*other))
+        # the same map from scaled coefficients, negative scales included
+        scaled = FracLinear(*(lam * q for q in raw))
+        assert scaled == fn and hash(scaled) == hash(fn)
+
+    @INT_PROPERTY
+    @given(MAPS, RATIONALS)
+    def test_call(self, fn, t):
+        a, b, c, d = fn.a, fn.b, fn.c, fn.d
+        if c * t + d == 0:
+            with pytest.raises(ZeroDivisionError):
+                fn(t)
+        else:
+            assert fn(t) == (a * t + b) / (c * t + d)
+        if c != 0:
+            assert fn.pole == -d / c
+            with pytest.raises(ZeroDivisionError):
+                fn(fn.pole)
+
+    @INT_PROPERTY
+    @given(MAPS, MAPS)
+    def test_compose(self, f, g):
+        a, b, c, d = f.a, f.b, f.c, f.d
+        e, ff, gg, h = g.a, g.b, g.c, g.d
+        product = (a * e + b * gg, a * ff + b * h, c * e + d * gg, c * ff + d * h)
+        try:
+            ref = ref_normal_form(*product)
+        except ValueError as e:  # g is constant at f's pole
+            with pytest.raises(ValueError, match=str(e)):
+                f.compose(g)
+            return
+        assert_normal_form(f.compose(g), ref)
+
+    @INT_PROPERTY
+    @given(MAPS)
+    def test_inverse(self, fn):
+        if fn.a == 0 and fn.c == 0:
+            with pytest.raises(NotBijective, match="constant formula has no inverse"):
+                fn.inverse()
+            return
+        assert_normal_form(fn.inverse(), ref_normal_form(fn.d, -fn.b, -fn.c, fn.a))
+
+    @INT_PROPERTY
+    @given(MAPS, st.integers(-(2**70), 2**70))
+    def test_shifted(self, fn, n):
+        a, b, c, d = fn.a, fn.b, fn.c, fn.d
+        ref = ref_normal_form(a + n * c, b - n * a + n * d - n * n * c, c, d - n * c)
+        assert_normal_form(fn.shifted(n), ref)
+
+    @INT_PROPERTY
+    @given(MAPS, RATIONALS, st.booleans())
+    def test_preimage(self, fn, w, at_limit):
+        a, b, c, d = fn.a, fn.b, fn.c, fn.d
+        if at_limit and c != 0:
+            w = a / c  # the value a Moebius map never attains
+        den = a - w * c
+        assert fn.preimage(w) == (None if den == 0 else (w * d - b) / den)
