@@ -15,6 +15,16 @@ modules are ``top,length`` pairs.  Machine output (``--json``) is
 deterministic: keys sorted, rationals always printed as ``p/q``, intervals
 ordered by (lo, lo kind, hi, hi kind).  Exit codes: 0 success, 1 validation
 failure, 2 parse error, 3 domain or math error.
+
+Each subcommand is one row of ``_COMMANDS``: its name and help, its
+positionals with their converters, its options as argparse keyword
+arguments, its handler and the library operations it reaches; the parser,
+``DISPATCH`` and ``LIBRARY_OPERATIONS`` derive from the rows.  ``run``
+converts the positionals in row order, so a bad file or literal is a parse
+error with its ``--json`` envelope, and calls the handler with the parsed
+options and the converted values.  A handler returns ``(payload, human
+lines)`` or ``(payload, human lines, exit code, status)``; ``run`` alone
+writes stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NakarepError, ParseError
 from .interval import CLOSED, OPEN, Interval
@@ -94,8 +104,10 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # digits per integer: CPython's default int/str conversion limit, enforced
 # here so that it holds on every supported version
 _MAX_DIGITS = 4300
-# export-plot builds its samples as one list; this bounds its memory
+# export-plot builds its samples as one list and renders each of the three
+# columns to this many decimal places; together they bound its memory
 _MAX_SAMPLES = 10000
+_MAX_PLOT_DIGITS = 100
 
 
 def parse_rational(text: str) -> Fraction:
@@ -326,43 +338,17 @@ def _write_envelope(command: str, status: str, **body) -> None:
     sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-class _Emitter:
-    def __init__(self, command: str, as_json: bool):
-        self.command = command
-        self.as_json = as_json
-        self.human_lines: List[str] = []
-
-    def human(self, text: str) -> None:
-        """Queue human output: one line, or a block of lines."""
-        self.human_lines.append(text.rstrip("\n"))
-
-    def finish(self, payload, status: str = "ok") -> None:
-        if self.as_json:
-            _write_envelope(self.command, status, payload=payload)
-        else:
-            for line in self.human_lines:
-                sys.stdout.write(line + "\n")
-
-
-def _opt_interval(u: Optional[Interval]) -> Optional[str]:
-    return None if u is None else str(u)
-
-
 # ----- command handlers -------------------------------------------------------
 
 
-def _cmd_validate(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
+def _cmd_validate(args, profile):
     violations = validate_profile(profile)
-    for v in violations:
-        out.human(v)
-    out.human("valid" if not violations else "invalid")
-    out.finish({"valid": not violations, "violations": violations})
-    return EXIT_OK if not violations else EXIT_INVALID
+    lines = violations + ["valid" if not violations else "invalid"]
+    code = EXIT_OK if not violations else EXIT_INVALID
+    return {"valid": not violations, "violations": violations}, lines, code, "ok"
 
 
-def _cmd_info(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
+def _cmd_info(args, profile):
     k = profile.successor
     payload = {
         "space": "circle" if isinstance(profile.space, Circle) else "line",
@@ -370,140 +356,82 @@ def _cmd_info(args, out: _Emitter) -> int:
         "pieces": len(k.pieces),
         "valid": not validate_profile(profile),
     }
-    out.human(f"space:  {payload['space']}")
-    out.human(f"domain: {payload['domain']}")
-    out.human(f"pieces: {payload['pieces']}")
-    out.human(f"valid:  {str(payload['valid']).lower()}")
+    lines = [f"{key + ':':<8}{str(value).lower()}" for key, value in payload.items()]
     if args.at is not None:
         t = parse_rational(args.at)
         payload["at"] = fmt_rational(t)
         payload["K"] = fmt_rational(k.eval(t))
         payload["kappa"] = fmt_rational(kappa_at(profile, t))
-        payload["K_left_limit"] = fmt_bound(k.left_limit(t)) if _has_left(k, t) else None
-        out.human(f"K({payload['at']}) = {payload['K']}, kappa = {payload['kappa']}")
+        has_left = k.periodic or t > k.dom.lo  # a line domain has no left limit at its start
+        payload["K_left_limit"] = fmt_bound(k.left_limit(t)) if has_left else None
+        lines.append(f"K({payload['at']}) = {payload['K']}, kappa = {payload['kappa']}")
         if payload["K_left_limit"] is not None:
-            out.human(f"left limit of K: {payload['K_left_limit']}")
+            lines.append(f"left limit of K: {payload['K_left_limit']}")
         if args.orbit:
-            pts = orbit(profile, t, args.orbit)
-            payload["orbit"] = [fmt_rational(p) for p in pts]
-            out.human("orbit: " + ", ".join(payload["orbit"]))
-    out.finish(payload)
-    return EXIT_OK
+            payload["orbit"] = [fmt_rational(p) for p in orbit(profile, t, args.orbit)]
+            lines.append("orbit: " + ", ".join(payload["orbit"]))
+    return payload, lines
 
 
-def _has_left(k: PiecewiseMap, t: Fraction) -> bool:
-    return k.periodic or t > k.dom.lo
-
-
-def _cmd_seps(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
+def _cmd_seps(args, profile):
     seps = separation_points(profile)
-    payload = {
-        "points": [fmt_rational(p) for p in seps.points],
-        "periodic": seps.periodic,
-    }
-    out.human(", ".join(payload["points"]) if payload["points"] else "(none)")
+    payload = {"points": [fmt_rational(p) for p in seps.points], "periodic": seps.periodic}
+    lines = [", ".join(payload["points"]) if payload["points"] else "(none)"]
     if args.after is not None:
-        nxt = next_separation(profile, parse_rational(args.after))
-        payload["next_after"] = fmt_bound(nxt)
-        out.human(f"next after {args.after}: {payload['next_after']}")
-    out.finish(payload)
-    return EXIT_OK
+        payload["next_after"] = fmt_bound(next_separation(profile, parse_rational(args.after)))
+        lines.append(f"next after {args.after}: {payload['next_after']}")
+    return payload, lines
 
 
-def _cmd_components(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
-    comps = components(profile)
-    payload = {
-        "count": len(comps),
-        "components": [
-            {
-                "index": c.index,
-                "left": fmt_bound(c.left),
-                "right": fmt_bound(c.right),
-                "shape": c.shape.value,
-                "periodic": c.periodic,
-            }
-            for c in comps
-        ],
-    }
-    for c in comps:
-        tag = " (repeats by Z)" if c.periodic else ""
-        out.human(f"{c.index}: [{fmt_bound(c.left)}, {fmt_bound(c.right)}) {c.shape.value}{tag}")
+def _cmd_components(args, profile):
+    rows = [
+        {"index": c.index, "left": fmt_bound(c.left), "right": fmt_bound(c.right),
+         "shape": c.shape.value, "periodic": c.periodic}
+        for c in components(profile)
+    ]
+    payload = {"count": len(rows), "components": rows}
+    lines = [
+        f"{r['index']}: [{r['left']}, {r['right']}) {r['shape']}"
+        + (" (repeats by Z)" if r["periodic"] else "")
+        for r in rows
+    ]
     if args.of is not None:
-        idx = component_of(profile, parse_interval(args.of))
-        payload["component_of"] = idx
-        out.human(f"component of {args.of}: {idx}")
-    out.finish(payload)
-    return EXIT_OK
+        payload["component_of"] = component_of(profile, parse_interval(args.of))
+        lines.append(f"component of {args.of}: {payload['component_of']}")
+    return payload, lines
 
 
-def _space_arg(text: str):
-    if text == "circle":
-        return CIRCLE
-    if text == "line":
-        return Line(Dom(NEG_INF, POS_INF, False))
-    raise ParseError(f"space must be 'line' or 'circle', not {text!r}")
+def _cmd_hom(args, space, source, target):
+    dim = hom_dim(space, source, target)
+    return {"dim": dim}, [str(dim)]
 
 
-def _cmd_hom(args, out: _Emitter) -> int:
-    space = _space_arg(args.space)
-    dim = hom_dim(space, parse_interval(args.source), parse_interval(args.target))
-    out.human(str(dim))
-    out.finish({"dim": dim})
-    return EXIT_OK
+def _cmd_end(args, space, u):
+    dim = end_dim(space, u)
+    return {"dim": dim}, [str(dim)]
 
 
-def _cmd_end(args, out: _Emitter) -> int:
-    dim = end_dim(_space_arg(args.space), parse_interval(args.interval))
-    out.human(str(dim))
-    out.finish({"dim": dim})
-    return EXIT_OK
+def _cmd_brick(args, space, u):
+    res = is_brick(space, u)
+    return {"brick": res}, [str(res).lower()]
 
 
-def _cmd_brick(args, out: _Emitter) -> int:
-    res = is_brick(_space_arg(args.space), parse_interval(args.interval))
-    out.human(str(res).lower())
-    out.finish({"brick": res})
-    return EXIT_OK
-
-
-def _cmd_compat(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
-    u = parse_interval(args.interval)
-    res = is_compatible(profile, u)
-    payload = {"compatible": res}
-    out.human(str(res).lower())
+def _cmd_compat(args, profile, u):
+    payload = {"compatible": is_compatible(profile, u)}
+    lines = [str(payload["compatible"]).lower()]
     if args.projective:
         payload["projective"] = is_projective(profile, u)
-        out.human(f"projective: {str(payload['projective']).lower()}")
-    out.finish(payload)
-    return EXIT_OK
+        lines.append(f"projective: {str(payload['projective']).lower()}")
+    return payload, lines
 
 
-def _cmd_morphism(args, out: _Emitter) -> int:
-    m = ScalarMorphism(
-        source=parse_interval(args.source),
-        target=parse_interval(args.target),
-        shift=args.shift,
-        coefficient=parse_rational(args.coefficient),
-    )
-    analysis = morphism_analyze(m)
-    payload = {
-        "image": _opt_interval(analysis.image),
-        "kernel": _opt_interval(analysis.kernel),
-        "cokernel": _opt_interval(analysis.cokernel),
-    }
-    out.human(f"image:    {payload['image']}")
-    out.human(f"kernel:   {payload['kernel']}")
-    out.human(f"cokernel: {payload['cokernel']}")
-    out.finish(payload)
-    return EXIT_OK
+def _cmd_morphism(args, source, target):
+    m = ScalarMorphism(source, target, args.shift, parse_rational(args.coefficient))
+    payload = {key: None if u is None else str(u) for key, u in vars(morphism_analyze(m)).items()}
+    return payload, [f"{key + ':':<10}{u}" for key, u in payload.items()]
 
 
-def _cmd_resolve(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
-    u = parse_interval(args.interval)
+def _cmd_resolve(args, profile, u):
     cap = args.cap
     if cap is None:
         env = os.environ.get("NAKAREP_CAP", str(DEFAULT_RESOLUTION_CAP))
@@ -514,100 +442,62 @@ def _cmd_resolve(args, out: _Emitter) -> int:
         "covers": [str(c) for c in report.covers],
         "syzygies": [str(s) for s in report.syzygies],
     }
-    out.human(str(report.verdict))
-    out.human("covers:   " + ", ".join(payload["covers"]))
+    lines = [str(report.verdict), "covers:   " + ", ".join(payload["covers"])]
     if payload["syzygies"]:
-        out.human("syzygies: " + ", ".join(payload["syzygies"]))
-    out.finish(payload)
-    return EXIT_OK
+        lines.append("syzygies: " + ", ".join(payload["syzygies"]))
+    return payload, lines
 
 
-def _cmd_pushforward(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
-    f = load_homeo(args.homeo)
-    pushed = push_forward(profile, f)
-    payload = {"profile": format_profile(pushed)}
-    out.human(payload["profile"])
+def _cmd_pushforward(args, profile, f):
+    payload = {"profile": format_profile(push_forward(profile, f))}
+    lines = [payload["profile"]]
     if args.module is not None:
-        moved = map_module(f, parse_interval(args.module))
-        payload["module"] = str(moved)
-        out.human(f"module image: {payload['module']}")
-    out.finish(payload)
-    return EXIT_OK
+        payload["module"] = str(map_module(f, parse_interval(args.module)))
+        lines.append(f"module image: {payload['module']}")
+    return payload, lines
 
 
-def _cmd_conjugate(args, out: _Emitter) -> int:
-    f = load_homeo(args.homeo)
-    source = load_profile(args.source)
-    target = load_profile(args.target)
+def _cmd_conjugate(args, f, source, target):
     res = verify_conjugacy(f, source, target)
-    out.human(str(res).lower())
-    out.finish({"conjugate": res})
-    return EXIT_OK
+    return {"conjugate": res}, [str(res).lower()]
 
 
-def _cmd_normalize(args, out: _Emitter) -> int:
-    profile = load_profile(args.profile)
+def _cmd_normalize(args, profile):
     normalized, witness = normalize_profile(profile)
-    payload = {
-        "profile": format_profile(normalized),
-        "witness": format_homeo(witness),
-    }
-    out.human(payload["profile"])
-    out.human(payload["witness"])
-    out.finish(payload)
-    return EXIT_OK
+    payload = {"profile": format_profile(normalized), "witness": format_homeo(witness)}
+    return payload, [payload["profile"], payload["witness"]]
 
 
-def _cmd_series_profile(args, out: _Emitter) -> int:
-    series = parse_series(args.series)
+def _cmd_series_profile(args, series):
     violations = validate_series(series)
     if violations:
-        payload = {"valid": False, "violations": violations}
-        for v in violations:
-            out.human(v)
-        out.finish(payload, status="error")
-        return EXIT_INVALID
-    profile = associated_kupisch(series)
-    payload = {"valid": True, "profile": format_profile(profile)}
-    out.human(payload["profile"])
-    out.finish(payload)
-    return EXIT_OK
+        return {"valid": False, "violations": violations}, violations, EXIT_INVALID, "error"
+    payload = {"valid": True, "profile": format_profile(associated_kupisch(series))}
+    return payload, [payload["profile"]]
 
 
-def _cmd_embed(args, out: _Emitter) -> int:
-    series = parse_series(args.series)
-    m = parse_discrete_module(args.module)
+def _cmd_embed(args, series, m):
     u = embed_module(series, m)
     payload = {"interval": str(u)}
-    out.human(payload["interval"])
+    lines = [payload["interval"]]
     if args.hom_to is not None:
         m2 = parse_discrete_module(args.hom_to)
         v = embed_module(series, m2)
         payload["discrete_hom"] = discrete_hom_dim(series, m, m2)
         payload["continuous_hom"] = hom_dim(CIRCLE, u, v)
-        out.human(f"discrete hom:   {payload['discrete_hom']}")
-        out.human(f"continuous hom: {payload['continuous_hom']}")
-    out.finish(payload)
-    return EXIT_OK
+        lines.append(f"discrete hom:   {payload['discrete_hom']}")
+        lines.append(f"continuous hom: {payload['continuous_hom']}")
+    return payload, lines
 
 
-def _cmd_extract(args, out: _Emitter) -> int:
-    series = parse_series(args.series)
-    m = extract_module(series, parse_interval(args.interval))
-    payload = {"top": m.top, "length": m.length}
-    out.human(f"{m.top},{m.length}")
-    out.finish(payload)
-    return EXIT_OK
+def _cmd_extract(args, series, u):
+    m = extract_module(series, u)
+    return {"top": m.top, "length": m.length}, [f"{m.top},{m.length}"]
 
 
-def _cmd_algdim(args, out: _Emitter) -> int:
-    series = parse_series(args.series)
+def _cmd_algdim(args, series):
     dim = algebra_dim_check(series)
-    payload = {"dim": dim, "sum_of_lengths": sum(series.lengths)}
-    out.human(str(dim))
-    out.finish(payload)
-    return EXIT_OK
+    return {"dim": dim, "sum_of_lengths": sum(series.lengths)}, [str(dim)]
 
 
 def export_plot(profile: KupischProfile, samples: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
@@ -634,43 +524,15 @@ def export_plot(profile: KupischProfile, samples: int) -> List[Tuple[Fraction, F
     return out
 
 
-def _cmd_export_plot(args, out: _Emitter) -> int:
-    samples = export_plot(load_profile(args.profile), args.samples)
+def _cmd_export_plot(args, profile):
+    samples = export_plot(profile, args.samples)
     # CSV rows display decimals; machine output carries the exact rationals
-    out.human("t,K,kappa")
-    for triple in samples:
-        out.human(",".join(fraction_to_decimal(v, args.digits) for v in triple))
-    out.finish({"samples": [dict(zip(("t", "K", "kappa"), map(fmt_rational, v))) for v in samples]})
-    return EXIT_OK
+    rows = [",".join(fraction_to_decimal(v, args.digits) for v in triple) for triple in samples]
+    payload = {"samples": [dict(zip(("t", "K", "kappa"), map(fmt_rational, v))) for v in samples]}
+    return payload, ["t,K,kappa"] + rows
 
 
-# ----- dispatch ----------------------------------------------------------------
-
-# command -> (handler, library operations reachable through it)
-DISPATCH = {
-    "validate": (_cmd_validate, ("validate_profile",)),
-    "info": (_cmd_info, ("kappa_at", "eval", "left_limit", "orbit")),
-    "seps": (_cmd_seps, ("separation_points", "next_separation")),
-    "components": (_cmd_components, ("components", "component_of")),
-    "hom": (_cmd_hom, ("hom_dim", "left_intersect", "translate")),
-    "end": (_cmd_end, ("end_dim",)),
-    "brick": (_cmd_brick, ("is_brick",)),
-    "compat": (_cmd_compat, ("is_compatible", "contains", "is_projective")),
-    "morphism": (_cmd_morphism, ("morphism_analyze",)),
-    "resolve": (_cmd_resolve, ("projective_resolution", "projective_cover", "projective_at")),
-    "pushforward": (_cmd_pushforward, ("push_forward", "compose", "invert", "map_module")),
-    "conjugate": (_cmd_conjugate, ("verify_conjugacy",)),
-    "normalize": (_cmd_normalize, ("normalize_profile",)),
-    "series-profile": (_cmd_series_profile, ("associated_kupisch", "validate_series")),
-    "embed": (_cmd_embed, ("embed_module", "discrete_hom_dim")),
-    "extract": (_cmd_extract, ("extract_module", "canonical_lift")),
-    "algdim": (_cmd_algdim, ("algebra_dim_check",)),
-    "export-plot": (_cmd_export_plot, ("export_plot",)),
-}
-
-LIBRARY_OPERATIONS = frozenset(
-    op for _, ops in DISPATCH.values() for op in ops
-)
+# ----- the command table --------------------------------------------------------
 
 
 def _option(**bounds):
@@ -689,6 +551,121 @@ def _option(**bounds):
 _count = _option(nonnegative=True)
 
 
+class _Command(NamedTuple):
+    name: str
+    help: str
+    positionals: Tuple[Tuple[str, Any], ...]  # (name, converter or {word: value})
+    options: Dict[str, dict]  # flag -> argparse keyword arguments
+    handler: Callable
+    operations: Tuple[str, ...]  # library operations the command reaches
+
+
+_PROFILE = ("profile", load_profile)
+_INTERVAL = ("interval", parse_interval)
+_SERIES = ("series", parse_series)
+_HOMEO = ("homeo", load_homeo)
+_SPACE = ("space", {"line": Line(Dom(NEG_INF, POS_INF, False)), "circle": CIRCLE})
+
+_COMMANDS = (
+    _Command(
+        "validate", "check a profile file", (_PROFILE,), {}, _cmd_validate, ("validate_profile",)
+    ),
+    _Command(
+        "info", "summarize a profile; --at also evaluates K", (_PROFILE,),
+        {
+            "--at": dict(metavar="T", help="evaluate K, kappa and the left limit at T"),
+            "--orbit": dict(type=_count, metavar="N", help="with --at: print t, K(t), ..., K^N(t)"),
+        },
+        _cmd_info, ("kappa_at", "eval", "left_limit", "orbit"),
+    ),
+    _Command(
+        "seps", "separation points of a profile", (_PROFILE,),
+        {"--after": dict(metavar="C", help="also print the next separation point after C")},
+        _cmd_seps, ("separation_points", "next_separation"),
+    ),
+    _Command(
+        "components", "orthogonal components of a profile", (_PROFILE,),
+        {"--of": dict(metavar="U", help="also print the component index of the interval U")},
+        _cmd_components, ("components", "component_of"),
+    ),
+    _Command(
+        "hom", "Hom dimension between interval/string modules",
+        (_SPACE, ("source", parse_interval), ("target", parse_interval)), {},
+        _cmd_hom, ("hom_dim", "left_intersect", "translate"),
+    ),
+    _Command(
+        "end", "endomorphism dimension of a module", (_SPACE, _INTERVAL), {}, _cmd_end, ("end_dim",)
+    ),
+    _Command(
+        "brick", "whether a module is a brick", (_SPACE, _INTERVAL), {}, _cmd_brick, ("is_brick",)
+    ),
+    _Command(
+        "compat", "compatibility of an interval with a profile", (_PROFILE, _INTERVAL),
+        {"--projective": dict(action="store_true", help="also report projectivity")},
+        _cmd_compat, ("is_compatible", "is_projective"),
+    ),
+    _Command(
+        "morphism", "image, kernel, cokernel of a scalar morphism",
+        (("source", parse_interval), ("target", parse_interval)),
+        {
+            "--shift": dict(type=_option(), default=0, help="translation component (circle)"),
+            "--coefficient": dict(default="1", help="nonzero scalar (default 1)"),
+        },
+        _cmd_morphism, ("morphism_analyze",),
+    ),
+    _Command(
+        "resolve", "projective resolution of a module", (_PROFILE, _INTERVAL),
+        {"--cap": dict(type=_count, default=None, help="step cap (default NAKAREP_CAP or 512)")},
+        _cmd_resolve, ("projective_resolution", "projective_cover", "projective_at"),
+    ),
+    _Command(
+        "pushforward", "transport a profile along a homeomorphism", (_PROFILE, _HOMEO),
+        {"--module": dict(metavar="U", help="also map the interval U")},
+        _cmd_pushforward, ("push_forward", "compose", "invert", "map_module"),
+    ),
+    _Command(
+        "conjugate", "verify f pushes one profile onto another",
+        (_HOMEO, ("source", load_profile), ("target", load_profile)), {},
+        _cmd_conjugate, ("verify_conjugacy",),
+    ),
+    _Command(
+        "normalize", "equivalent profile on [0,+inf) or the full line", (_PROFILE,), {},
+        _cmd_normalize, ("normalize_profile",),
+    ),
+    _Command(
+        "series-profile", "circle profile of a projective-length series", (_SERIES,), {},
+        _cmd_series_profile, ("associated_kupisch", "validate_series"),
+    ),
+    _Command(
+        "embed", "circle string of a discrete module", (_SERIES, ("module", parse_discrete_module)),
+        {"--hom-to": dict(metavar="M2", help="also compare Hom dimensions to module M2")},
+        _cmd_embed, ("embed_module", "discrete_hom_dim"),
+    ),
+    _Command(
+        "extract", "discrete module of a grid-aligned string", (_SERIES, _INTERVAL), {},
+        _cmd_extract, ("extract_module", "canonical_lift"),
+    ),
+    _Command(
+        "algdim", "dim End of the sum of embedded projectives", (_SERIES,), {},
+        _cmd_algdim, ("algebra_dim_check",),
+    ),
+    _Command(
+        "export-plot", "CSV samples of t, K(t), kappa(t)", (_PROFILE,),
+        {
+            "--samples": dict(type=_option(at_most=_MAX_SAMPLES), default=16,
+                              help=f"number of sample points, at most {_MAX_SAMPLES} (default 16)"),
+            "--digits": dict(type=_option(nonnegative=True, at_most=_MAX_PLOT_DIGITS), default=6,
+                             help=f"decimal places, at most {_MAX_PLOT_DIGITS} (default 6)"),
+        },
+        _cmd_export_plot, ("export_plot",),
+    ),
+)
+
+# command -> (handler, library operations reachable through it)
+DISPATCH = {c.name: (c.handler, c.operations) for c in _COMMANDS}
+LIBRARY_OPERATIONS = frozenset(op for c in _COMMANDS for op in c.operations)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="nakarep",
@@ -696,114 +673,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="machine-readable output")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a profile file")
-    p.add_argument("profile")
-
-    p = sub.add_parser("info", help="summarize a profile; -t also evaluates K")
-    p.add_argument("profile")
-    p.add_argument("--at", metavar="T", help="evaluate K, kappa and the left limit at T")
-    p.add_argument("--orbit", type=_count, metavar="N", help="with --at: print t, K(t), ..., K^N(t)")
-
-    p = sub.add_parser("seps", help="separation points of a profile")
-    p.add_argument("profile")
-    p.add_argument("--after", metavar="C", help="also print the next separation point after C")
-
-    p = sub.add_parser("components", help="orthogonal components of a profile")
-    p.add_argument("profile")
-    p.add_argument("--of", metavar="U", help="also print the component index of the interval U")
-
-    p = sub.add_parser("hom", help="Hom dimension between interval/string modules")
-    p.add_argument("space", choices=["line", "circle"])
-    p.add_argument("source")
-    p.add_argument("target")
-
-    p = sub.add_parser("end", help="endomorphism dimension of a module")
-    p.add_argument("space", choices=["line", "circle"])
-    p.add_argument("interval")
-
-    p = sub.add_parser("brick", help="whether a module is a brick")
-    p.add_argument("space", choices=["line", "circle"])
-    p.add_argument("interval")
-
-    p = sub.add_parser("compat", help="compatibility of an interval with a profile")
-    p.add_argument("profile")
-    p.add_argument("interval")
-    p.add_argument("--projective", action="store_true", help="also report projectivity")
-
-    p = sub.add_parser("morphism", help="image, kernel, cokernel of a scalar morphism")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--shift", type=_option(), default=0, help="translation component (circle)")
-    p.add_argument("--coefficient", default="1", help="nonzero scalar (default 1)")
-
-    p = sub.add_parser("resolve", help="projective resolution of a module")
-    p.add_argument("profile")
-    p.add_argument("interval")
-    p.add_argument("--cap", type=_count, default=None, help="step cap (default NAKAREP_CAP or 512)")
-
-    p = sub.add_parser("pushforward", help="transport a profile along a homeomorphism")
-    p.add_argument("profile")
-    p.add_argument("homeo")
-    p.add_argument("--module", metavar="U", help="also map the interval U")
-
-    p = sub.add_parser("conjugate", help="verify f pushes one profile onto another")
-    p.add_argument("homeo")
-    p.add_argument("source")
-    p.add_argument("target")
-
-    p = sub.add_parser("normalize", help="equivalent profile on [0,+inf) or the full line")
-    p.add_argument("profile")
-
-    p = sub.add_parser("series-profile", help="circle profile of a projective-length series")
-    p.add_argument("series")
-
-    p = sub.add_parser("embed", help="circle string of a discrete module")
-    p.add_argument("series")
-    p.add_argument("module")
-    p.add_argument("--hom-to", metavar="M2", help="also compare Hom dimensions to module M2")
-
-    p = sub.add_parser("extract", help="discrete module of a grid-aligned string")
-    p.add_argument("series")
-    p.add_argument("interval")
-
-    p = sub.add_parser("algdim", help="dim End of the sum of embedded projectives")
-    p.add_argument("series")
-
-    p = sub.add_parser("export-plot", help="CSV samples of t, K(t), kappa(t)")
-    p.add_argument("profile")
-    p.add_argument(
-        "--samples", type=_option(at_most=_MAX_SAMPLES), default=16,
-        help=f"number of sample points, at most {_MAX_SAMPLES} (default 16)",
-    )
-    p.add_argument("--digits", type=_count, default=6)
-
+    for c in _COMMANDS:
+        p = sub.add_parser(c.name, help=c.help)
+        p.set_defaults(row=c)
+        for name, convert in c.positionals:
+            p.add_argument(name, choices=list(convert) if isinstance(convert, dict) else None)
+        for flag, kwargs in c.options.items():
+            p.add_argument(flag, **kwargs)
     return top
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    """Parse, dispatch, print; returns the exit code."""
-    parser = _build_parser()
+    """Parse, convert the positionals, dispatch, print; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
-    out = _Emitter(args.command, args.json)
-    handler = DISPATCH[args.command][0]
     try:
-        return handler(args, out)
-    except ParseError as e:
-        _fail(args, "parse error", str(e))
-        return EXIT_PARSE
+        values = []
+        for name, convert in args.row.positionals:
+            text = getattr(args, name)
+            values.append(convert[text] if isinstance(convert, dict) else convert(text))
+        result = args.row.handler(args, *values)
     except NakarepError as e:
-        _fail(args, type(e).__name__, str(e))
-        return EXIT_MATH
-
-
-def _fail(args, kind: str, message: str) -> None:
+        kind = "parse error" if isinstance(e, ParseError) else type(e).__name__
+        if args.json:
+            _write_envelope(args.command, "error", error={"kind": kind, "message": str(e)})
+        sys.stderr.write(f"nakarep: {kind}: {e}\n")
+        return EXIT_PARSE if isinstance(e, ParseError) else EXIT_MATH
+    payload, lines, code, status = result if len(result) == 4 else (*result, EXIT_OK, "ok")
     if args.json:
-        _write_envelope(args.command, "error", error={"kind": kind, "message": message})
-    sys.stderr.write(f"nakarep: {kind}: {message}\n")
+        _write_envelope(args.command, status, payload=payload)
+    else:
+        sys.stdout.write("".join(line.rstrip("\n") + "\n" for line in lines))
+    return code
 
 
 def main() -> None:

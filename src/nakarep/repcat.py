@@ -222,7 +222,7 @@ def projective_cover(
     The cover starts where u starts, with the same left kind, and reaches
     K(lo(u)); the syzygy is the remaining right part of the cover."""
     u = _fit_or_raise(profile, u)
-    cover = Interval(u.lo, profile.successor.eval(u.lo), u.lo_kind, CLOSED)
+    cover = projective_at(profile, u.lo, u.lo_kind)
     return cover, right_remainder(cover, u)
 
 

@@ -1,18 +1,23 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import nakarep
 from nakarep import (
     CLOSED,
     OPEN,
     Interval,
     KupischSeries,
     ParseError,
+    PiecewiseMap,
     associated_kupisch,
     push_forward,
 )
@@ -368,6 +373,18 @@ class TestErrors:
         assert len(out.splitlines()) == 1 + 10000
         assert "at most 10000" in invoke(capsys, "export-plot", "--help")[1]
 
+    @pytest.mark.parametrize("digits", ["101", "5000"])
+    def test_digits_bound(self, files, capsys, digits):
+        code, out, err = invoke(capsys, "export-plot", files["half"], "--digits", digits)
+        assert (code, out) == (2, "")
+        assert "parse error" in err and "expected at most 100," in err
+
+    def test_digits_at_bound(self, files, capsys):
+        code, out, _ = invoke(capsys, "export-plot", files["half"], "--samples", "3", "--digits", "100")
+        assert code == 0
+        assert out.splitlines()[2] == "0." + "3" * 100 + ",0.8" + "3" * 99 + ",0.5" + "0" * 99
+        assert re.search(r"at most\s+100\b", invoke(capsys, "export-plot", "--help")[1])
+
     def test_missing_file_exit_2(self, files, capsys):
         code, _, err = invoke(capsys, "validate", "/nonexistent/profile.txt")
         assert code == 2
@@ -436,7 +453,7 @@ class TestDispatchCoverage:
             # maps
             "eval", "left_limit", "compose", "invert",
             # intervals
-            "left_intersect", "translate", "contains", "canonical_lift",
+            "left_intersect", "translate", "canonical_lift",
             # profiles
             "validate_profile", "kappa_at", "orbit", "separation_points",
             "next_separation", "components", "push_forward", "verify_conjugacy",
@@ -458,6 +475,77 @@ class TestDispatchCoverage:
                 assert op not in seen, f"{op} reachable from {seen[op]} and {command}"
                 seen[op] = command
         assert set(seen) == inventory
+
+    def test_every_listed_operation_is_called(self, files, capsys, monkeypatch):
+        # one command per subcommand; each operation its row lists must run
+        argvs = {
+            "validate": ["kappa2"],
+            "info": ["kappa2", "--at", "1/4", "--orbit", "2"],
+            "seps": ["kappa2", "--after", "1/4"],
+            "components": ["kappa2", "--of", "[1/8,1/4]"],
+            "hom": ["circle", "[0,3/2]", "[0,3/2]"],
+            "end": ["circle", "[0,5/2]"],
+            "brick": ["circle", "[0,1)"],
+            "compat": ["translation", "[0,1]", "--projective"],
+            "morphism": ["[1,3]", "[0,2]"],
+            "resolve": ["half", "(0,1/4]", "--cap", "8"],
+            "pushforward": ["unit", "unit_to_half", "--module", "[0,1/2]"],
+            "conjugate": ["rotation", "kappa2", "kappa2"],
+            "normalize": ["unit"],
+            "series-profile": ["3,3,2"],
+            "embed": ["3,3,2", "0,3", "--hom-to", "0,1"],
+            "extract": ["3,3,2", "(1/3,1]"],
+            "algdim": ["3,3,2"],
+            "export-plot": ["half", "--samples", "3"],
+        }
+        assert set(argvs) == set(DISPATCH)
+        called = set()
+
+        def recording(op, fn):
+            def wrapper(*args, **kwargs):
+                called.add(op)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = [nakarep] + [
+            getattr(nakarep, m) for m in ("pwmap", "interval", "kupisch", "repcat", "discrete", "cli")
+        ]
+        patched = set()
+        for op in LIBRARY_OPERATIONS:
+            for module in modules:
+                fn = getattr(module, op, None)
+                if isinstance(fn, types.FunctionType):
+                    monkeypatch.setattr(module, op, recording(op, fn))
+                    patched.add(op)
+        for op in ("eval", "left_limit"):
+            monkeypatch.setattr(PiecewiseMap, op, recording(op, getattr(PiecewiseMap, op)))
+            patched.add(op)
+        assert patched == LIBRARY_OPERATIONS
+        for command, (_, ops) in DISPATCH.items():
+            called.clear()
+            argv = [files.get(a, a) for a in argvs[command]]
+            code, _, err = invoke(capsys, command, *argv)
+            assert code == 0, err
+            assert called >= set(ops), f"{command} never calls {set(ops) - called}"
+
+
+class TestByteIdentity:
+    def test_golden_stdout_and_exit(self, tmp_path, capsys, monkeypatch):
+        # stdout and exit code of 121 command lines over every subcommand,
+        # plain and with --json; stderr is left out because argparse words
+        # its errors differently across Python versions
+        golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+        for name, text in golden["files"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NAKAREP_CAP", raising=False)
+        differing = []
+        for case in golden["cases"]:
+            code, out, _ = invoke(capsys, *case["argv"])
+            if (code, hashlib.sha256(out.encode()).hexdigest()) != (case["exit"], case["stdout_sha256"]):
+                differing.append(case["argv"])
+        assert differing == []
 
 
 class TestEntryPoint:
