@@ -526,10 +526,13 @@ def export_plot(profile: KupischProfile, samples: int) -> List[Tuple[Fraction, F
 
 def _cmd_export_plot(args, profile):
     samples = export_plot(profile, args.samples)
-    # CSV rows display decimals; machine output carries the exact rationals
+    # machine output carries the exact rationals, CSV rows display decimals;
+    # only the one that is printed is rendered
+    if args.json:
+        exact = [dict(zip(("t", "K", "kappa"), map(fmt_rational, v))) for v in samples]
+        return {"samples": exact}, []
     rows = [",".join(fraction_to_decimal(v, args.digits) for v in triple) for triple in samples]
-    payload = {"samples": [dict(zip(("t", "K", "kappa"), map(fmt_rational, v))) for v in samples]}
-    return payload, ["t,K,kappa"] + rows
+    return {}, ["t,K,kappa"] + rows
 
 
 # ----- the command table --------------------------------------------------------

@@ -15,6 +15,7 @@ raising.  Profiles are immutable and every operation is pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -238,7 +239,11 @@ def separation_points(profile: KupischProfile) -> SeparationSet:
     point reaches them: left_limit(K, c) == c with K not constantly c on a
     left neighbourhood.  Since kappa is positive inside every piece, the only
     candidates are breakpoints, which keeps the search finite and exact:
-    one pass over the pairs of adjacent pieces, O(n) for n pieces."""
+    one pass over the pairs of adjacent pieces, O(n) for n pieces, made
+    once per profile.  The points come in increasing order."""
+    seps = profile.__dict__.get("_separation")
+    if seps is not None:
+        return seps
     k = profile.successor
     # (formula left of c, breakpoint c) for each pair of adjacent pieces; on
     # the circle the last piece, moved down one period, meets the first at 0
@@ -246,20 +251,29 @@ def separation_points(profile: KupischProfile) -> SeparationSet:
     if k.periodic:
         pairs.insert(0, (k.pieces[-1].fn.shifted(-1), Fraction(0)))
     found = [c for left_fn, c in pairs if left_fn(c) == c and not left_fn.is_constant]
-    return SeparationSet(tuple(found), k.periodic)
+    seps = SeparationSet(tuple(found), k.periodic)
+    # kept on the profile for later calls; not a field, so == and hash ignore it
+    object.__setattr__(profile, "_separation", seps)
+    return seps
 
 
 def next_separation(profile: KupischProfile, c) -> Bound:
     """min { s in the separation set : s > c }, or the domain's supremum
-    (+inf when unbounded) when there is none."""
+    (+inf when unbounded) when there is none.  One bisection, O(log n)."""
     c = as_rational(c)
     k = profile.successor
     if not k.periodic and not k.dom.contains(c):
         raise DomainError(f"{fmt_bound(c)} outside domain {k.dom}")
-    seps = separation_points(profile)
-    if seps.periodic:
-        return min((r + math.floor(c - r) + 1 for r in seps.points), default=POS_INF)
-    return min((s for s in seps.points if s > c), default=k.dom.hi)
+    pts = separation_points(profile).points
+    if not k.periodic:
+        i = bisect_right(pts, c)
+        return pts[i] if i < len(pts) else k.dom.hi
+    if not pts:
+        return POS_INF
+    # the representatives lie in [0, 1); c lies in the period [n, n + 1)
+    n = math.floor(c)
+    i = bisect_right(pts, c - n)
+    return n + pts[i] if i < len(pts) else n + 1 + pts[0]
 
 
 # ----- orthogonal components -----------------------------------------------

@@ -15,11 +15,21 @@ synchronization.
 Costs, counted in integer operations whose own cost grows with the bit
 height of the coefficients: a formula is applied or solved with four
 products and one gcd, and composed with eight products and one gcd.  For
-maps of n (outer) and m (inner) pieces, building a map checks its
-invariants in O(n); ``eval`` bisects the piece starts cached at
-construction, O(log n); ``compose`` solves one preimage per cut it makes,
-O(m log n + k) for k cuts, with k + m bounding the output; ``invert`` is
-O(n), or O(n log n) for periodic maps.
+maps of n (outer) and m (inner) pieces, ``eval`` bisects the piece starts
+cached at construction, O(log n); ``compose`` solves one preimage per cut
+it makes, O(m log n + k) for k cuts, with k + m bounding the output;
+``invert`` is O(n), or O(n log n) for periodic maps.
+
+Invariants are checked where maps come from outside: the public
+constructor ``PiecewiseMap(...)``, which the parsers, ``single`` and
+``from_pieces`` build through, checks every piece and breakpoint with O(n)
+formula evaluations.  The maps that ``compose`` and ``invert`` build are
+valid by construction, because their inputs are valid maps and their own
+preconditions are checked (the inner image inside the outer domain; no
+constant piece and no jump to invert).  So they take a trusted path that
+only merges equal neighbours and caches the piece starts, O(n) comparisons
+of integer tuples.  The property tests rebuild those outputs through the
+public constructor and compare.
 """
 
 from __future__ import annotations
@@ -224,6 +234,24 @@ class Piece:
         return f"[{fmt_bound(self.lo)}, {fmt_bound(self.hi)})"
 
 
+def _piece(lo: Bound, hi: Bound, fn: FracLinear) -> Piece:
+    """A Piece whose ends are already Fractions or +-inf, uncoerced."""
+    p = object.__new__(Piece)
+    p.__dict__.update(lo=lo, hi=hi, fn=fn)
+    return p
+
+
+def _merged(pieces) -> tuple:
+    """Canonical form: neighbours sharing one formula become one piece."""
+    merged = [pieces[0]]
+    for p in pieces[1:]:
+        if p.fn == merged[-1].fn:
+            merged[-1] = _piece(merged[-1].lo, p.hi, p.fn)
+        else:
+            merged.append(p)
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class PiecewiseMap:
     """A non-decreasing piecewise fractional-linear map in canonical form.
@@ -233,6 +261,10 @@ class PiecewiseMap:
     Within a piece the formula is strictly increasing or constant; across a
     breakpoint the left limit never exceeds the value, so jumps only go up.
     A pole may sit at a piece end only where the domain itself ends there.
+
+    The constructor checks all of this; the results of ``compose`` and
+    ``invert`` skip the checks (see the module docstring) but are merged
+    into the same canonical form, so ``==`` does not depend on the path.
     """
 
     dom: Dom
@@ -255,14 +287,7 @@ class PiecewiseMap:
         for p in pieces:
             if not p.lo < p.hi:
                 raise ValueError("empty piece")
-        # canonical form: merge neighbours sharing one formula
-        merged = [pieces[0]]
-        for p in pieces[1:]:
-            if p.fn == merged[-1].fn:
-                merged[-1] = Piece(merged[-1].lo, p.hi, p.fn)
-            else:
-                merged.append(p)
-        pieces = tuple(merged)
+        pieces = _merged(pieces)
         for p in pieces:
             self._check_piece(p)
         for prev, cur in zip(pieces, pieces[1:]):
@@ -276,6 +301,17 @@ class PiecewiseMap:
         object.__setattr__(self, "pieces", pieces)
         # piece starts for bisection; not a field, so == and hash ignore it
         object.__setattr__(self, "_starts", [p.lo for p in pieces])
+
+    @classmethod
+    def _trusted(cls, dom: Dom, pieces, periodic: bool = False) -> "PiecewiseMap":
+        """The map of pieces known to satisfy every invariant except
+        canonical form, which is restored here; ``__post_init__`` does not
+        run, so nothing is checked."""
+        self = object.__new__(cls)
+        pieces = _merged(pieces)
+        starts = [p.lo for p in pieces]
+        self.__dict__.update(dom=dom, pieces=pieces, periodic=periodic, _starts=starts)
+        return self
 
     def _check_piece(self, p: Piece) -> None:
         pole = p.fn.pole
@@ -390,7 +426,7 @@ class PiecewiseMap:
         out = []
         for n in range(n_lo, n_hi):
             for p in self.pieces:
-                out.append(Piece(p.lo + n, p.hi + n, p.fn.shifted(n)))
+                out.append(_piece(p.lo + n, p.hi + n, p.fn.shifted(n)))
         return out
 
 
@@ -415,10 +451,10 @@ def compose(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
         g0 = g.eval(Fraction(0))
         base = math.floor(g0)
         window = Dom(Fraction(base), Fraction(base + 2), True)
-        f_flat = PiecewiseMap(window, tuple(f._unfold(base, base + 2)))
-        g_flat = PiecewiseMap(UNIT, g.pieces)
+        f_flat = PiecewiseMap._trusted(window, f._unfold(base, base + 2))
+        g_flat = PiecewiseMap._trusted(UNIT, g.pieces)
         comp = _compose_flat(f_flat, g_flat)
-        return PiecewiseMap(UNIT, comp.pieces, periodic=True)
+        return PiecewiseMap._trusted(UNIT, comp.pieces, periodic=True)
     return _compose_flat(f, g)
 
 
@@ -430,7 +466,7 @@ def _compose_flat(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
     for piece in g.pieces:
         gp = piece.fn
         if gp.is_constant:
-            out.append(Piece(piece.lo, piece.hi, FracLinear.const(f.eval(gp.b))))
+            out.append(_piece(piece.lo, piece.hi, FracLinear.const(f.eval(gp.b))))
             continue
         # gp maps the piece onto its open image window, so only the outer
         # breakpoints strictly inside it cut the piece, and the cuts come in
@@ -440,10 +476,10 @@ def _compose_flat(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
         s0 = piece.lo
         for j in range(first, last):
             s1 = gp.preimage(starts[j])
-            out.append(Piece(s0, s1, f.pieces[j - 1].fn.compose(gp)))
+            out.append(_piece(s0, s1, f.pieces[j - 1].fn.compose(gp)))
             s0 = s1
-        out.append(Piece(s0, piece.hi, f.pieces[last - 1].fn.compose(gp)))
-    return PiecewiseMap(g.dom, tuple(out))
+        out.append(_piece(s0, piece.hi, f.pieces[last - 1].fn.compose(gp)))
+    return PiecewiseMap._trusted(g.dom, out)
 
 
 def invert(f: PiecewiseMap) -> PiecewiseMap:
@@ -466,9 +502,9 @@ def invert(f: PiecewiseMap) -> PiecewiseMap:
     lo, lo_att, hi, _hi_att = f.range_info()
     raw = []
     for p in f.pieces:
-        raw.append(Piece(_image_left(p), _image_right(p), p.fn.inverse()))
+        raw.append(_piece(_image_left(p), _image_right(p), p.fn.inverse()))
     dom = Dom(lo, hi, lo_closed=bool(lo_att))
-    return PiecewiseMap(dom, tuple(raw))
+    return PiecewiseMap._trusted(dom, raw)
 
 
 def _image_left(p: Piece) -> Bound:
@@ -493,7 +529,7 @@ def _image_right(p: Piece) -> Bound:
 
 def _invert_periodic(f: PiecewiseMap) -> PiecewiseMap:
     # inverse pieces tile [f(0), f(0) + 1); translate them back onto [0, 1)
-    raw = [Piece(p.fn(p.lo), p.fn(p.hi), p.fn.inverse()) for p in f.pieces]
+    raw = [_piece(p.fn(p.lo), p.fn(p.hi), p.fn.inverse()) for p in f.pieces]
     h = f.pieces[0].fn(Fraction(0))
     out = []
     for p in raw:
@@ -501,7 +537,7 @@ def _invert_periodic(f: PiecewiseMap) -> PiecewiseMap:
             lo, hi = p.lo + n, p.hi + n
             clo, chi = max(lo, Fraction(0)), min(hi, Fraction(1))
             if clo < chi:
-                out.append(Piece(clo, chi, p.fn.shifted(n)))
+                out.append(_piece(clo, chi, p.fn.shifted(n)))
     out.sort(key=lambda p: p.lo)
-    return PiecewiseMap(UNIT, tuple(out), periodic=True)
+    return PiecewiseMap._trusted(UNIT, out, periodic=True)
 

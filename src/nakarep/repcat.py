@@ -26,7 +26,7 @@ from .interval import (
     right_remainder,
     translate,
 )
-from .kupisch import Circle, KupischProfile, Line, Space, components
+from .kupisch import Circle, KupischProfile, Line, Space, separation_points
 from .pwmap import PiecewiseMap, as_rational, is_finite
 
 
@@ -290,15 +290,16 @@ def component_of(profile: KupischProfile, u: Interval) -> int:
     For circle profiles this indexes the one-period component list; for
     periodic line profiles the component of the k-th translate of the j-th
     representative gets index j + k * (representatives per period), which
-    may be negative on the left half of the line.
+    may be negative on the left half of the line.  The components start at
+    the separation points (and at the domain's start on a flat line), so
+    this is one bisection of the profile's separation points, O(log n).
     """
     x = _fit_or_raise(profile, u).lo
-    comps = components(profile)
-    lefts = [c.left for c in comps]
+    pts = separation_points(profile).points
     on_circle = isinstance(profile.space, Circle)
-    if not (on_circle or comps[0].periodic):
-        return bisect_right(lefts, x) - 1
-    # x = y + k with y in the period [lefts[0], lefts[0] + 1)
-    k = math.floor(x - lefts[0])
-    j = bisect_right(lefts, x - k) - 1
-    return j if on_circle else j + k * len(lefts)
+    if not (pts and (on_circle or profile.periodic)):
+        return bisect_right(pts, x)
+    # x = y + k with y in the period [pts[0], pts[0] + 1)
+    k = math.floor(x - pts[0])
+    j = bisect_right(pts, x - k) - 1
+    return j if on_circle else j + k * len(pts)

@@ -256,6 +256,30 @@ def brute_component_of(profile: KupischProfile, u: Interval) -> int:
     return index if on_circle else index + k * len(comps)
 
 
+def brute_next_separation(profile: KupischProfile, c):
+    """next_separation by a linear scan: the least separation point above c,
+    every representative tried in its next translate on periodic profiles."""
+    from nakarep import separation_points
+
+    seps = separation_points(profile)
+    k = profile.successor
+    if seps.periodic:
+        return min((r + math.floor(c - r) + 1 for r in seps.points), default=POS_INF)
+    return min((s for s in seps.points if s > c), default=k.dom.hi)
+
+
+# ----- the public constructor as a check ----------------------------------------
+
+
+def assert_rebuilds(m: PiecewiseMap) -> None:
+    """m, built by a path that skips the invariant checks, passes the public
+    constructor and comes out unchanged: the same canonical pieces and the
+    same cached piece starts."""
+    again = PiecewiseMap(m.dom, m.pieces, m.periodic)
+    assert again == m, (m, again)
+    assert m._starts == again._starts
+
+
 # ----- FracLinear in Fractions ------------------------------------------------
 
 

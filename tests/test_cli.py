@@ -431,6 +431,28 @@ class TestMachineOutput:
             ]
         }
 
+    def test_export_plot_renders_only_printed_rows(self, files, capsys, monkeypatch):
+        import nakarep.cli as cli
+
+        calls = []
+
+        def counted(q, digits):
+            calls.append(q)
+            return fraction_to_decimal(q, digits)
+
+        monkeypatch.setattr(cli, "fraction_to_decimal", counted)
+        code, out, _ = invoke(capsys, "--json", "export-plot", files["half"], "--samples", "3")
+        assert code == 0 and len(json.loads(out)["payload"]["samples"]) == 3
+        assert calls == []
+        code, out, _ = invoke(capsys, "export-plot", files["half"], "--samples", "3")
+        assert code == 0 and len(calls) == 9
+        assert out.splitlines() == [
+            "t,K,kappa",
+            "0.000000,0.500000,0.500000",
+            "0.333333,0.833333,0.500000",
+            "0.666667,1.166667,0.500000",
+        ]
+
     def test_json_error_envelope(self, files, capsys):
         code, out, _ = invoke(capsys, "--json", "morphism", "[0,2]", "[1,3]")
         assert code == 3

@@ -34,6 +34,8 @@ from nakarep import (
 from nakarep.discrete import KupischSeries, associated_kupisch
 from oracles import (
     RATIONALS,
+    assert_rebuilds,
+    brute_next_separation,
     coefficients,
     constant_circle_profile,
     ref_normal_form,
@@ -45,6 +47,7 @@ from oracles import (
     rand_homeo_circle,
     rand_homeo_half_line,
     rand_profile_circle,
+    rand_fraction,
     rand_profile_half_line,
     translation_profile,
 )
@@ -154,6 +157,14 @@ class TestSeparationPoints:
         assert validate_profile(prof) == []
         assert separation_points(prof).points == ()
 
+    def test_derived_once_and_not_compared(self):
+        prof = kappa_n_profile(3)
+        fresh = KupischProfile(prof.space, prof.successor)
+        seps = separation_points(prof)
+        assert separation_points(prof) is seps
+        assert prof == fresh and hash(prof) == hash(fresh)
+        assert separation_points(fresh) == seps
+
     def test_half_line_separation(self):
         # K rises to exactly 1 at the breakpoint, strictly below before it
         dom = Dom(F(0), POS_INF, True)
@@ -185,6 +196,32 @@ class TestNextSeparation:
         target = next_separation(prof, F(1, 8))
         assert pts[-1] < target
         assert target - pts[-1] < F(1, 10**6)
+
+    def test_matches_linear_scan(self):
+        # circle, periodic line and half-line profiles; c on, just below and
+        # just above every separation point (and its translates), and random
+        rng = random.Random(29)
+        profiles = [nu_profile(), nu_restriction_profile(), kappa_n_profile(3)]
+        profiles.append(translation_profile(1))
+        for _ in range(40):
+            circ = rand_profile_circle(rng, max_pieces=5, sep_chance=0.6)
+            profiles += [
+                circ,
+                KupischProfile(Line(REALS), circ.successor),
+                rand_profile_half_line(rng, max_pieces=5, sep_chance=0.6),
+            ]
+        checked = 0
+        for prof in profiles:
+            k = prof.successor
+            shifts = (-3, -1, 0, 1, 2) if k.periodic else (0,)
+            near = (F(-1, 64), 0, F(1, 64))
+            cs = [s + n + e for s in separation_points(prof) for n in shifts for e in near]
+            cs += [rand_fraction(rng, -3, 6) for _ in range(8)]
+            for c in cs:
+                if k.periodic or k.dom.contains(c):
+                    assert next_separation(prof, c) == brute_next_separation(prof, c), (prof, c)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestComponents:
@@ -357,6 +394,8 @@ class TestProperties:
             once = push_forward(prof, compose(f, g))
             twice = push_forward(push_forward(prof, g), f)
             assert once.successor == twice.successor
+            assert_rebuilds(once.successor)
+            assert_rebuilds(twice.successor)
 
     def test_pushforward_functorial_on_half_line(self):
         rng = random.Random(6)
@@ -368,6 +407,8 @@ class TestProperties:
             once = push_forward(prof, compose(f, g))
             twice = push_forward(push_forward(prof, g), f)
             assert once.successor == twice.successor
+            assert_rebuilds(once.successor)
+            assert_rebuilds(twice.successor)
 
     def test_orbits_escape_when_no_separation(self):
         prof = translation_profile(F(1, 3))

@@ -20,6 +20,7 @@ from nakarep.pwmap import as_rational, is_finite
 from oracles import (
     NONZERO,
     RATIONALS,
+    assert_rebuilds,
     coefficients,
     rand_homeo_circle,
     rand_homeo_full_line,
@@ -403,6 +404,7 @@ class TestComposeProperties:
         f = data.draw(line_maps("reals"))
         g = data.draw(line_maps(kind))
         comp = compose(f, g)
+        assert_rebuilds(comp)
         for t in sample_points(g):
             assert comp.eval(t) == f.eval(g.eval(t))
 
@@ -414,6 +416,8 @@ class TestComposeProperties:
         f = data.draw(line_maps(kind))
         g = invert(data.draw(line_maps(kind, homeo=True)))
         comp = compose(f, g)
+        assert_rebuilds(g)
+        assert_rebuilds(comp)
         for t in sample_points(g):
             assert comp.eval(t) == f.eval(g.eval(t))
 
@@ -421,6 +425,7 @@ class TestComposeProperties:
     @given(circle_maps(), circle_maps())
     def test_compose_agrees_with_eval_circle(self, f, g):
         comp = compose(f, g)
+        assert_rebuilds(comp)
         for t in sample_points(g):
             assert comp.eval(t) == f.eval(g.eval(t))
 
@@ -428,6 +433,7 @@ class TestComposeProperties:
     @given(st.sampled_from(sorted(DOMAINS)).flatmap(lambda kind: line_maps(kind, homeo=True)))
     def test_invert_line(self, f):
         fi = invert(f)
+        assert_rebuilds(fi)
         for t in sample_points(f):
             assert fi.eval(f.eval(t)) == t
 
@@ -435,6 +441,7 @@ class TestComposeProperties:
     @given(circle_maps(homeo=True))
     def test_invert_circle(self, f):
         fi = invert(f)
+        assert_rebuilds(fi)
         for t in sample_points(f):
             assert fi.eval(f.eval(t)) == t
 
@@ -459,6 +466,7 @@ class TestComposeProperties:
             ),
         )
         comp = compose(f, g)
+        assert_rebuilds(comp)
         assert [p.lo for p in comp.pieces] == [NEG_INF, F(0), F(1, 2), F(1)]
         for t in (F(-1), F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(5)):
             assert comp.eval(t) == f.eval(g.eval(t))
