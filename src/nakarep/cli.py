@@ -108,6 +108,11 @@ _MAX_DIGITS = 4300
 # columns to this many decimal places; together they bound its memory
 _MAX_SAMPLES = 10000
 _MAX_PLOT_DIGITS = 100
+# info --orbit and resolve --cap (or NAKAREP_CAP) take one step of K per
+# orbit point or syzygy and print every step; on a Moebius profile the
+# heights of the points grow with each step, so the output grows
+# quadratically in the count
+_MAX_STEPS = 4096
 
 
 def parse_rational(text: str) -> Fraction:
@@ -435,7 +440,7 @@ def _cmd_resolve(args, profile, u):
     cap = args.cap
     if cap is None:
         env = os.environ.get("NAKAREP_CAP", str(DEFAULT_RESOLUTION_CAP))
-        cap = _parse_integer(env, "NAKAREP_CAP", nonnegative=True)
+        cap = _parse_integer(env, "NAKAREP_CAP", nonnegative=True, at_most=_MAX_STEPS)
     report = projective_resolution(profile, u, cap=cap)
     payload = {
         "verdict": str(report.verdict),
@@ -551,7 +556,7 @@ def _option(**bounds):
     return convert
 
 
-_count = _option(nonnegative=True)
+_steps = _option(nonnegative=True, at_most=_MAX_STEPS)
 
 
 class _Command(NamedTuple):
@@ -577,7 +582,8 @@ _COMMANDS = (
         "info", "summarize a profile; --at also evaluates K", (_PROFILE,),
         {
             "--at": dict(metavar="T", help="evaluate K, kappa and the left limit at T"),
-            "--orbit": dict(type=_count, metavar="N", help="with --at: print t, K(t), ..., K^N(t)"),
+            "--orbit": dict(type=_steps, metavar="N",
+                            help=f"with --at: print t, K(t), ..., K^N(t); N at most {_MAX_STEPS}"),
         },
         _cmd_info, ("kappa_at", "eval", "left_limit", "orbit"),
     ),
@@ -618,7 +624,8 @@ _COMMANDS = (
     ),
     _Command(
         "resolve", "projective resolution of a module", (_PROFILE, _INTERVAL),
-        {"--cap": dict(type=_count, default=None, help="step cap (default NAKAREP_CAP or 512)")},
+        {"--cap": dict(type=_steps, default=None,
+                       help=f"step cap, at most {_MAX_STEPS} (default NAKAREP_CAP or 512)")},
         _cmd_resolve, ("projective_resolution", "projective_cover", "projective_at"),
     ),
     _Command(

@@ -16,9 +16,11 @@ Costs, counted in integer operations whose own cost grows with the bit
 height of the coefficients: a formula is applied or solved with four
 products and one gcd, and composed with eight products and one gcd.  For
 maps of n (outer) and m (inner) pieces, ``eval`` bisects the piece starts
-cached at construction, O(log n); ``compose`` solves one preimage per cut
-it makes, O(m log n + k) for k cuts, with k + m bounding the output;
-``invert`` is O(n), or O(n log n) for periodic maps.
+cached at construction, O(log n); ``compose`` walks the inner pieces and
+the outer starts forward together and solves one preimage per cut it
+makes, O(m + k) comparisons for k cuts when the inner map is continuous
+and O(m log n + k) at worst, with k + m bounding the output; ``invert``
+is O(n), a periodic inverse included.
 
 Invariants are checked where maps come from outside: the public
 constructor ``PiecewiseMap(...)``, which the parsers, ``single`` and
@@ -35,7 +37,7 @@ public constructor and compare.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -149,6 +151,8 @@ class FracLinear:
     def shifted(self, n: int) -> "FracLinear":
         """The conjugate ``t -> self(t - n) + n`` by the integer translation,
         in closed form; the determinant is unchanged."""
+        if n == 0:
+            return self
         a, b, c, d = self.m
         return _normal(a + n * c, b - n * a + n * d - n * n * c, c, d - n * c)
 
@@ -421,14 +425,6 @@ class PiecewiseMap:
             return False
         return True
 
-    def _unfold(self, n_lo: int, n_hi: int):
-        """Pieces of the periodic extension covering [n_lo, n_hi)."""
-        out = []
-        for n in range(n_lo, n_hi):
-            for p in self.pieces:
-                out.append(_piece(p.lo + n, p.hi + n, p.fn.shifted(n)))
-        return out
-
 
 # ----- operations -------------------------------------------------------
 
@@ -440,54 +436,90 @@ def compose(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
     g-preimages of f's breakpoints.  Both maps must be periodic or both
     flat; the image of g must stay inside f's domain.
 
-    Cost for f of n and g of m pieces: each increasing piece of g finds the
-    breakpoints of f inside its image by bisection and solves one preimage
-    for each, so O(m log n + k) for k cuts, plus O(k + m) to build the
-    result.  A periodic f is first unfolded over two periods, O(n).
+    Cost for f of n and g of m pieces: the images of g's pieces move right
+    and f's piece starts increase, so one forward walk over both finds
+    every cut, solving one preimage per cut.  It makes about two order
+    comparisons per piece of g and one per cut, and bisects only where a
+    jump of g skips starts of f, so O(m + k) for k cuts when g is
+    continuous and O(m log n + k) at worst, plus O(k + m) to build the
+    result.  A periodic f is read over the two periods g's image lies in
+    by index arithmetic on its own n starts, and only the formulas the
+    walk lands on are shifted.
     """
     if f.periodic != g.periodic:
         raise DomainError("cannot compose a periodic with a non-periodic map")
     if f.periodic:
-        g0 = g.eval(Fraction(0))
-        base = math.floor(g0)
-        window = Dom(Fraction(base), Fraction(base + 2), True)
-        f_flat = PiecewiseMap._trusted(window, f._unfold(base, base + 2))
-        g_flat = PiecewiseMap._trusted(UNIT, g.pieces)
-        comp = _compose_flat(f_flat, g_flat)
-        return PiecewiseMap._trusted(UNIT, comp.pieces, periodic=True)
-    return _compose_flat(f, g)
-
-
-def _compose_flat(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
-    if not g._range_within(f.dom):
+        base = math.floor(g.eval(Fraction(0)))
+        dom = Dom(Fraction(base), Fraction(base + 2), True)
+        inner = PiecewiseMap._trusted(UNIT, g.pieces)  # one period of g, read flat
+        outer = _Window(f, base)
+        starts, formula = outer, outer.formula
+    else:
+        dom, inner, starts = f.dom, g, f._starts
+        formula = lambda j: f.pieces[j].fn  # noqa: E731
+    if not inner._range_within(dom):
         raise DomainError("image of the inner map leaves the outer map's domain")
-    starts = f._starts
+    end = len(starts)
     out = []
+    # j is the first start of f that may still cut a piece of g, and cut
+    # its value (+inf past the last); each start is read once
+    j, cut = 1, starts[1] if end > 1 else POS_INF
     for piece in g.pieces:
         gp = piece.fn
         if gp.is_constant:
             out.append(_piece(piece.lo, piece.hi, FracLinear.const(f.eval(gp.b))))
             continue
-        # gp maps the piece onto its open image window, so only the outer
-        # breakpoints strictly inside it cut the piece, and the cuts come in
-        # order; the sub-interval ending at starts[j] lies under f's piece j - 1
-        first = bisect_right(starts, _image_left(piece), 1)
-        last = bisect_left(starts, _image_right(piece), first)
+        # gp maps the piece onto its open image window, so only the starts
+        # strictly inside it cut the piece, and the cuts come in order; the
+        # sub-interval ending at starts[j] lies under f's piece j - 1
+        left = _image_left(piece)
+        if cut <= left:  # the image starts on this start of f, or past it
+            j += 1
+            if j < end and starts[j] <= left:  # a jump of g skipped starts
+                j = bisect_right(starts, left, j + 1)
+            cut = starts[j] if j < end else POS_INF
+        right = _image_right(piece)
         s0 = piece.lo
-        for j in range(first, last):
-            s1 = gp.preimage(starts[j])
-            out.append(_piece(s0, s1, f.pieces[j - 1].fn.compose(gp)))
+        while cut < right:
+            s1 = gp.preimage(cut)
+            out.append(_piece(s0, s1, formula(j - 1).compose(gp)))
             s0 = s1
-        out.append(_piece(s0, piece.hi, f.pieces[last - 1].fn.compose(gp)))
-    return PiecewiseMap._trusted(g.dom, out)
+            j += 1
+            cut = starts[j] if j < end else POS_INF
+        out.append(_piece(s0, piece.hi, formula(j - 1).compose(gp)))
+    return PiecewiseMap._trusted(g.dom, out, g.periodic)
+
+
+class _Window:
+    """The piece starts of a periodic map's extension over the two periods
+    [base, base + 2) as a sequence indexed 0 .. 2n - 1, each computed on
+    access, and the formulas of those pieces (``formula``), shifted on
+    demand; the last one is kept, since neighbouring cuts share it."""
+
+    def __init__(self, f: PiecewiseMap, base: int):
+        self.f, self.base, self.n = f, base, len(f.pieces)
+        self._last = (None, None)
+
+    def __len__(self) -> int:
+        return 2 * self.n
+
+    def __getitem__(self, j: int) -> Fraction:
+        k, i = divmod(j, self.n)
+        return self.f._starts[i] + (self.base + k)
+
+    def formula(self, j: int) -> FracLinear:
+        if self._last[0] != j:
+            k, i = divmod(j, self.n)
+            self._last = (j, self.f.pieces[i].fn.shifted(self.base + k))
+        return self._last[1]
 
 
 def invert(f: PiecewiseMap) -> PiecewiseMap:
     """Exact inverse of a strictly increasing continuous surjection.
 
     Costs O(n) for n pieces: one inverse formula per piece.  A periodic
-    inverse is cut back onto [0, 1), which splits at most one piece, and
-    sorted, so O(n log n).
+    inverse is moved onto [0, 1) by one rotation, which splits at most one
+    piece.
     """
     for p in f.pieces:
         if p.fn.is_constant:
@@ -508,36 +540,46 @@ def invert(f: PiecewiseMap) -> PiecewiseMap:
 
 
 def _image_left(p: Piece) -> Bound:
-    if p.fn.is_constant:
-        return p.fn.b
     if not is_finite(p.lo):
+        if p.fn.is_constant:
+            return p.fn.b
         return NEG_INF if p.fn.is_affine else p.fn.a
-    if p.fn.pole == p.lo:
-        return NEG_INF
-    return p.fn(p.lo)
+    return _image_at(p.fn, p.lo, NEG_INF)
 
 
 def _image_right(p: Piece) -> Bound:
-    if p.fn.is_constant:
-        return p.fn.b
     if not is_finite(p.hi):
+        if p.fn.is_constant:
+            return p.fn.b
         return POS_INF if p.fn.is_affine else p.fn.a
-    if p.fn.pole == p.hi:
-        return POS_INF
-    return p.fn(p.hi)
+    return _image_at(p.fn, p.hi, POS_INF)
+
+
+def _image_at(fn: FracLinear, t: Fraction, at_pole: Bound) -> Bound:
+    """fn(t) for a finite piece end t, or ``at_pole`` when fn's pole sits
+    there (``c*p + d*q == 0`` for t = p/q; never for an affine map)."""
+    a, b, c, d = fn.m
+    p, q = t.numerator, t.denominator
+    den = c * p + d * q
+    return at_pole if den == 0 else Fraction(a * p + b * q, den)
 
 
 def _invert_periodic(f: PiecewiseMap) -> PiecewiseMap:
-    # inverse pieces tile [f(0), f(0) + 1); translate them back onto [0, 1)
-    raw = [_piece(p.fn(p.lo), p.fn(p.hi), p.fn.inverse()) for p in f.pieces]
-    h = f.pieces[0].fn(Fraction(0))
-    out = []
-    for p in raw:
-        for n in range(-math.floor(h) - 1, -math.floor(h) + 2):
-            lo, hi = p.lo + n, p.hi + n
-            clo, chi = max(lo, Fraction(0)), min(hi, Fraction(1))
-            if clo < chi:
-                out.append(_piece(clo, chi, p.fn.shifted(n)))
-    out.sort(key=lambda p: p.lo)
-    return PiecewiseMap._trusted(UNIT, out, periodic=True)
-
+    # the inverse pieces tile [h, h + 1) in order, h = f(0), and meet end
+    # to start (invert checked that); moved down by floor(h) they tile
+    # [h', h' + 1) with 0 <= h' < 1, and the part at or above 1, one period
+    # down, goes in front: a rotation that splits at most one piece
+    n = math.floor(f.pieces[0].fn(Fraction(0)))
+    ends = [p.fn(p.lo) - n for p in f.pieces]
+    ends.append(ends[0] + 1)
+    below, above = [], []
+    for p, lo, hi in zip(f.pieces, ends, ends[1:]):
+        inv = p.fn.inverse()
+        if hi <= 1:
+            below.append(_piece(lo, hi, inv.shifted(-n)))
+        elif lo >= 1:
+            above.append(_piece(lo - 1, hi - 1, inv.shifted(-n - 1)))
+        else:  # straddles 1
+            below.append(_piece(lo, Fraction(1), inv.shifted(-n)))
+            above.append(_piece(Fraction(0), hi - 1, inv.shifted(-n - 1)))
+    return PiecewiseMap._trusted(UNIT, above + below, periodic=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from hypothesis import assume, strategies as st
@@ -35,7 +36,7 @@ from nakarep import (
     line_profile,
     validate_profile,
 )
-from nakarep.pwmap import is_finite
+from nakarep.pwmap import UNIT, is_finite
 
 F = Fraction
 
@@ -278,6 +279,90 @@ def assert_rebuilds(m: PiecewiseMap) -> None:
     again = PiecewiseMap(m.dom, m.pieces, m.periodic)
     assert again == m, (m, again)
     assert m._starts == again._starts
+
+
+def assert_same_map(m: PiecewiseMap, ref: PiecewiseMap) -> None:
+    """m equals the reference map and caches the same piece starts."""
+    assert m == ref, (m, ref)
+    assert m._starts == ref._starts
+
+
+# ----- compose and invert by bisection, unfolding and sorting ---------------------
+#
+# The algorithms the library used before its forward cut walk, kept as
+# references: each increasing inner piece bisects the outer starts twice, a
+# periodic outer map is unfolded into a two-period map first, and a periodic
+# inverse tries three translates of every piece and sorts what lands on
+# [0, 1).  Every map is built through the public constructor.
+
+
+def _ref_image_left(p: Piece):
+    if p.fn.is_constant:
+        return p.fn.b
+    if not is_finite(p.lo):
+        return NEG_INF if p.fn.is_affine else p.fn.a
+    if p.fn.pole == p.lo:
+        return NEG_INF
+    return p.fn(p.lo)
+
+
+def _ref_image_right(p: Piece):
+    if p.fn.is_constant:
+        return p.fn.b
+    if not is_finite(p.hi):
+        return POS_INF if p.fn.is_affine else p.fn.a
+    if p.fn.pole == p.hi:
+        return POS_INF
+    return p.fn(p.hi)
+
+
+def _ref_compose_flat(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
+    starts = [p.lo for p in f.pieces]
+    out = []
+    for piece in g.pieces:
+        gp = piece.fn
+        if gp.is_constant:
+            out.append(Piece(piece.lo, piece.hi, FracLinear.const(f.eval(gp.b))))
+            continue
+        first = bisect_right(starts, _ref_image_left(piece), 1)
+        last = bisect_left(starts, _ref_image_right(piece), first)
+        s0 = piece.lo
+        for j in range(first, last):
+            s1 = gp.preimage(starts[j])
+            out.append(Piece(s0, s1, f.pieces[j - 1].fn.compose(gp)))
+            s0 = s1
+        out.append(Piece(s0, piece.hi, f.pieces[last - 1].fn.compose(gp)))
+    return PiecewiseMap(g.dom, tuple(out))
+
+
+def ref_compose(f: PiecewiseMap, g: PiecewiseMap) -> PiecewiseMap:
+    """compose(f, g) for maps that compose: bisecting, and unfolding a
+    periodic f over the two periods [b, b + 2) with b = floor(g(0))."""
+    if not f.periodic:
+        return _ref_compose_flat(f, g)
+    base = math.floor(g.eval(F(0)))
+    unfolded = tuple(
+        Piece(p.lo + n, p.hi + n, p.fn.shifted(n)) for n in (base, base + 1) for p in f.pieces
+    )
+    window = PiecewiseMap(Dom(F(base), F(base + 2), True), unfolded)
+    comp = _ref_compose_flat(window, PiecewiseMap(UNIT, g.pieces))
+    return PiecewiseMap(UNIT, comp.pieces, periodic=True)
+
+
+def ref_invert_periodic(f: PiecewiseMap) -> PiecewiseMap:
+    """invert(f) for the lift f of a circle homeomorphism: the inverse
+    pieces tile [f(0), f(0) + 1); three translates of each are cut to
+    [0, 1) and the parts sorted."""
+    h = f.pieces[0].fn(F(0))
+    out = []
+    for p in f.pieces:
+        lo, hi, fn = p.fn(p.lo), p.fn(p.hi), p.fn.inverse()
+        for n in range(-math.floor(h) - 1, -math.floor(h) + 2):
+            clo, chi = max(lo + n, F(0)), min(hi + n, F(1))
+            if clo < chi:
+                out.append(Piece(clo, chi, fn.shifted(n)))
+    out.sort(key=lambda p: p.lo)
+    return PiecewiseMap(UNIT, tuple(out), periodic=True)
 
 
 # ----- FracLinear in Fractions ------------------------------------------------

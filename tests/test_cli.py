@@ -350,7 +350,7 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "parse error" in err
 
-    @pytest.mark.parametrize("cap", ["abc", "-5"])
+    @pytest.mark.parametrize("cap", ["abc", "-5", "4097"])
     def test_cap_env_grammar(self, files, capsys, monkeypatch, cap):
         monkeypatch.setenv("NAKAREP_CAP", cap)
         code, out, err = invoke(capsys, "resolve", files["half"], "(0,1/4]")
@@ -372,6 +372,40 @@ class TestErrors:
         assert code == 0
         assert len(out.splitlines()) == 1 + 10000
         assert "at most 10000" in invoke(capsys, "export-plot", "--help")[1]
+
+    @pytest.mark.parametrize(
+        "argv, done",
+        [
+            (["info", "translation", "--at", "0", "--orbit"], "orbit: 0/1, 1/1, 2/1"),
+            (["resolve", "translation", "[0,1/4]", "--cap"], "ExceededCap(4096)"),
+        ],
+        ids=["orbit", "cap"],
+    )
+    def test_step_bound(self, files, capsys, monkeypatch, argv, done):
+        # a count past the bound is a parse error before any step is taken
+        import nakarep.cli as cli
+
+        argv = [files["translation"] if a == "translation" else a for a in argv]
+
+        def no_steps(*_, **__):
+            raise AssertionError("stepped for a rejected count")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "orbit", no_steps)
+            m.setattr(cli, "projective_resolution", no_steps)
+            for count in ("4097", "100000000"):
+                code, out, err = invoke(capsys, *argv, count)
+                assert (code, out) == (2, "")
+                assert "parse error" in err and "expected at most 4096," in err
+        code, out, _ = invoke(capsys, *argv, "4096")
+        assert code == 0
+        assert done in out
+        if argv[0] == "info":
+            assert out.splitlines()[-1].endswith(", 4095/1, 4096/1")
+        else:
+            monkeypatch.setenv("NAKAREP_CAP", "4096")
+            assert invoke(capsys, *argv[:-1])[1].splitlines()[0] == done
+        assert re.search(r"at most\s+4096\b", invoke(capsys, argv[0], "--help")[1])
 
     @pytest.mark.parametrize("digits", ["101", "5000"])
     def test_digits_bound(self, files, capsys, digits):

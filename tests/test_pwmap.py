@@ -21,11 +21,14 @@ from oracles import (
     NONZERO,
     RATIONALS,
     assert_rebuilds,
+    assert_same_map,
     coefficients,
     rand_homeo_circle,
     rand_homeo_full_line,
     rand_homeo_half_line,
+    ref_compose,
     ref_integer_form,
+    ref_invert_periodic,
     ref_normal_form,
 )
 
@@ -405,6 +408,7 @@ class TestComposeProperties:
         g = data.draw(line_maps(kind))
         comp = compose(f, g)
         assert_rebuilds(comp)
+        assert_same_map(comp, ref_compose(f, g))
         for t in sample_points(g):
             assert comp.eval(t) == f.eval(g.eval(t))
 
@@ -418,6 +422,7 @@ class TestComposeProperties:
         comp = compose(f, g)
         assert_rebuilds(g)
         assert_rebuilds(comp)
+        assert_same_map(comp, ref_compose(f, g))
         for t in sample_points(g):
             assert comp.eval(t) == f.eval(g.eval(t))
 
@@ -426,6 +431,7 @@ class TestComposeProperties:
     def test_compose_agrees_with_eval_circle(self, f, g):
         comp = compose(f, g)
         assert_rebuilds(comp)
+        assert_same_map(comp, ref_compose(f, g))
         for t in sample_points(g):
             assert comp.eval(t) == f.eval(g.eval(t))
 
@@ -442,6 +448,7 @@ class TestComposeProperties:
     def test_invert_circle(self, f):
         fi = invert(f)
         assert_rebuilds(fi)
+        assert_same_map(fi, ref_invert_periodic(f))
         for t in sample_points(f):
             assert fi.eval(f.eval(t)) == t
 
@@ -472,21 +479,88 @@ class TestComposeProperties:
             assert comp.eval(t) == f.eval(g.eval(t))
 
 
+def circle(*pieces) -> PiecewiseMap:
+    return PiecewiseMap(UNIT, tuple(Piece(lo, hi, fn) for lo, hi, fn in pieces), periodic=True)
+
+
+def half_slopes(h):
+    """Slope 1/2 on [0, 1/2) and 3/2 on [1/2, 1), from f(0) = h."""
+    return circle(
+        (F(0), F(1, 2), FracLinear.affine(F(1, 2), h)),
+        (F(1, 2), F(1), FracLinear.affine(F(3, 2), h - F(1, 2))),
+    )
+
+
+class TestInvertPeriodic:
+    # the inverse pieces tile [f(0), f(0) + 1); each case pins the piece
+    # starts of the inverse on [0, 1)
+    @pytest.mark.parametrize(
+        "f, starts",
+        [
+            (half_slopes(F(0)), [F(0), F(1, 4)]),  # f(0) = 0: nothing to rotate
+            (half_slopes(F(-2)), [F(0), F(1, 4)]),  # f(0) = -2: moved up two periods
+            (half_slopes(F(5, 2)), [F(0), F(1, 2), F(3, 4)]),  # [3/4, 3/2) straddles 1
+            (  # the first inverse piece ends exactly on the wrap: [1/2, 1), [1, 3/2)
+                circle(
+                    (F(0), F(1, 4), FracLinear.affine(2, F(1, 2))),
+                    (F(1, 4), F(1), FracLinear.affine(F(2, 3), F(5, 6))),
+                ),
+                [F(0), F(1, 2)],
+            ),
+            (  # three pieces with f(0) = 3/4: the middle one straddles
+                circle(
+                    (F(0), F(1, 8), bend_piece(F(0), F(1, 8), F(3, 4), F(7, 8), F(2))),
+                    (F(1, 8), F(1, 2), bend_piece(F(1, 8), F(1, 2), F(7, 8), F(3, 2), F(1, 3))),
+                    (F(1, 2), F(1), FracLinear.affine(F(1, 2), F(5, 4))),
+                ),
+                [F(0), F(1, 2), F(3, 4), F(7, 8)],
+            ),
+            (circle((F(0), F(1), bend_piece(F(0), F(1), F(1, 3), F(4, 3), F(2)))), [F(0), F(1, 3)]),
+            (circle((F(0), F(1), FracLinear.affine(1, F(7, 3)))), [F(0)]),  # both parts t - 7/3
+        ],
+        ids=["at_0", "at_-2", "at_5/2", "end_on_wrap", "middle_straddles", "one_piece", "translation"],
+    )
+    def test_rotation(self, f, starts):
+        fi = invert(f)
+        assert fi._starts == starts
+        assert_same_map(fi, ref_invert_periodic(f))
+        assert_rebuilds(fi)
+        for t in sample_points(f):
+            assert fi.eval(f.eval(t)) == t
+            assert f.eval(fi.eval(t)) == t
+
+
+def line_homeo(n, offset):
+    """A homeomorphism of the line with n pieces, breakpoints at offset/4 +
+    k for k < n - 1, bends on the bounded pieces, affine tails."""
+    cuts = [F(4 * i + offset, 4) for i in range(n - 1)]
+    y, pieces = F(0), [Piece(NEG_INF, cuts[0], FracLinear.affine(1, -cuts[0]))]
+    for i, (u0, u1) in enumerate(zip(cuts, cuts[1:])):
+        fn = bend_piece(u0, u1, y, y + 1, BENDS[i % len(BENDS)])
+        pieces.append(Piece(u0, u1, fn))
+        y = fn(u1)
+    pieces.append(Piece(cuts[-1], POS_INF, FracLinear.affine(1, y - cuts[-1])))
+    return PiecewiseMap(REALS, tuple(pieces))
+
+
+def circle_homeo(n, offset):
+    """The lift of a circle homeomorphism with n pieces, breakpoints at
+    (4k + offset)/(4n), near t + offset/7."""
+    ends = [F(0)] + [F(4 * i + offset, 4 * n) for i in range(1, n)] + [F(1)]
+    shift = F(offset, 7)
+    return circle(
+        *(
+            (u0, u1, bend_piece(u0, u1, u0 + shift, u1 + shift, BENDS[i % len(BENDS)]))
+            for i, (u0, u1) in enumerate(zip(ends, ends[1:]))
+        )
+    )
+
+
 class TestComposeCost:
     def test_preimage_solves_are_linear(self, monkeypatch):
         # two 64-piece homeomorphisms of the line; the outer breakpoints
         # interleave with the images of the inner ones
-        def homeo(n, offset):
-            cuts = [F(4 * i + offset, 4) for i in range(n - 1)]
-            y, pieces = F(0), [Piece(NEG_INF, cuts[0], FracLinear.affine(1, -cuts[0]))]
-            for i, (u0, u1) in enumerate(zip(cuts, cuts[1:])):
-                fn = bend_piece(u0, u1, y, y + 1, BENDS[i % len(BENDS)])
-                pieces.append(Piece(u0, u1, fn))
-                y = fn(u1)
-            pieces.append(Piece(cuts[-1], POS_INF, FracLinear.affine(1, y - cuts[-1])))
-            return PiecewiseMap(REALS, tuple(pieces))
-
-        f, g = homeo(64, 1), homeo(64, 2)
+        f, g = line_homeo(64, 1), line_homeo(64, 2)
         calls = []
         solve = FracLinear.preimage
 
@@ -497,6 +571,25 @@ class TestComposeCost:
         monkeypatch.setattr(FracLinear, "preimage", counted)
         comp = compose(f, g)
         assert len(calls) <= len(comp.pieces) + len(g.pieces)
+
+    @pytest.mark.parametrize("homeo", [line_homeo, circle_homeo])
+    def test_order_comparisons_are_linear(self, monkeypatch, homeo):
+        # one walk over the inner pieces and the outer starts compares about
+        # twice per inner piece and once per cut; bisecting the 256 starts
+        # (512 over a circle's two-period window) twice per inner piece
+        # would take about 2 log2(n) each
+        f, g = homeo(256, 1), homeo(256, 2)
+        count = [0]
+        with monkeypatch.context() as m:
+            for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+                def counted(a, b, _op=getattr(F, name)):
+                    count[0] += 1
+                    return _op(a, b)
+
+                m.setattr(F, name, counted)
+            comp = compose(f, g)
+        assert comp == ref_compose(f, g)
+        assert count[0] <= 2 * (len(f.pieces) + len(g.pieces) + len(comp.pieces))
 
 
 # ----- the integer form against Fraction arithmetic ----------------------------
